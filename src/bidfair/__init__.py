@@ -46,10 +46,12 @@ from .engine import (
     GameConfig,
     PublicState,
     Round,
+    RuleViolation,
     Strategy,
     StrategyError,
     TieBreak,
     Transcript,
+    check_transcript,
     run_game,
     state_after,
     verify_transcript,
@@ -64,10 +66,6 @@ from .strategies import (
     UnitDemandFullBudgetBidder,
     ZeroBidder,
     default_rho,
-    make_altruistic_proportional_mms,
-    make_proportional_aps,
-    make_scripted,
-    make_unit_demand_full_budget,
 )
 from .wrapper import (
     ContractViolation,

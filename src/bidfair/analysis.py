@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .engine import Transcript, state_after
+from .engine import Transcript, _Ledger
 from .model import Allocation, FractionalPartition, Instance
 from .simplex import solve_lp
 from .valuations import ValuationOracle
@@ -171,29 +171,32 @@ def lower_bound_diagnostics(
     if total != 1 or any(partition.coverage(e) > b for e in instance.items):
         raise ValueError("partition is not a valid weight system for this entitlement")
 
-    n_rounds = len(transcript.rounds)
+    # one forward replay: the opening state at start_round, then the window
+    # round by round until rivals are done or the items are gone
+    rounds = transcript.rounds
+    ledger = _Ledger(instance, transcript.config)
+    for rnd in rounds[:start_round]:
+        ledger.apply(rnd)
+    opening = ledger.snapshot()
+    held: set[str] = set()
+    taken: set[str] = set()
     settle = None
-    for r in range(start_round, n_rounds + 1):
-        state = state_after(instance, transcript, r)
-        others_active = any(
-            flag for aid, flag in state.active.items() if aid != agent
-        )
-        if not others_active or not state.remaining:
+    for r in range(start_round, len(rounds) + 1):
+        others_active = any(on for aid, on in ledger.active.items() if aid != agent)
+        if not others_active or not ledger.remaining:
             settle = r
             break
+        if r < len(rounds):
+            rnd = rounds[r]
+            if rnd.winner == agent:
+                held.update(rnd.items)
+            else:
+                taken.update(rnd.items)
+            ledger.apply(rnd)
     if settle is None:
         raise ValueError("transcript never settles; was the game run to completion?")
 
-    opening = state_after(instance, transcript, start_round)
-    base_held = opening.bundles[agent]
-    held: set[str] = set()
-    taken: set[str] = set()
-    for rnd in transcript.rounds[start_round:settle]:
-        if rnd.winner == agent:
-            held.update(rnd.items)
-        else:
-            taken.update(rnd.items)
-    held_f = frozenset(held) | base_held
+    held_f = frozenset(held) | opening.bundles[agent]
     taken_f = frozenset(taken)
 
     held_value = v.value(held_f)

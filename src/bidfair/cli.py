@@ -25,7 +25,7 @@ from .analysis import (
     combine_rows,
     guarantee_report,
 )
-from .engine import GameConfig, TieBreak, run_game, verify_transcript
+from .engine import GameConfig, RuleViolation, TieBreak, check_transcript, run_game
 from .model import Instance
 from .shares import aps_exact, mms_exact, aps_unit_demand
 from .strategies import (
@@ -85,6 +85,13 @@ def _parse_fraction(text: str) -> Fraction:
         return serialize.parse_rational(text)
     except serialize.ParseError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InputError(f"{what} must be an integer, not {text!r}") from exc
 
 
 # ---------------------------------------------------------------- gen
@@ -178,7 +185,7 @@ def _parse_strategy_spec(spec_text: str, instance: Instance, agent_id: str):
     if name == "greedy":
         return GreedyMarginalBidder(spec.valuation)
     if name == "random":
-        return RandomBidder(int(params.get("seed", "0")))
+        return RandomBidder(_parse_int(params.get("seed", "0"), "random seed"))
     if name == "constant":
         return ConstantBidder(_parse_fraction(params.get("amount", "0")))
     if name == "zero":
@@ -346,22 +353,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
         instance, transcript, guarantees = serialize.report_from_dict(doc)
     except serialize.ParseError as exc:
         raise InputError(str(exc)) from exc
-    if not verify_transcript(transcript, instance):
-        sys.stderr.write("transcript does not verify\n")
+    try:
+        check_transcript(transcript, instance)
+    except RuleViolation as exc:
+        sys.stderr.write(f"transcript does not verify: {exc}\n")
         return EXIT_FAIL
-    for entry in guarantees:
-        agent = entry["agent"]
-        value = instance.valuation(agent).value(transcript.allocation.get(agent, frozenset()))
-        if serialize.parse_rational(entry["bundle_value"]) != value:
-            sys.stderr.write(f"recorded bundle value for {agent} is wrong\n")
-            return EXIT_FAIL
-        if "share" in entry and "target_rho" in entry:
+    try:
+        for entry in guarantees:
+            agent = entry["agent"]
+            value = instance.valuation(agent).value(transcript.allocation.get(agent, frozenset()))
+            if serialize.parse_rational(entry["bundle_value"]) != value:
+                sys.stderr.write(f"recorded bundle value for {agent} is wrong\n")
+                return EXIT_FAIL
+            if "share" not in entry:
+                continue
             share = serialize.parse_rational(entry["share"])
-            target = serialize.parse_rational(entry["target_rho"])
-            passed = True if share <= 0 else value >= target * share
+            if "target_rho" in entry:  # play: value >= target_rho * share
+                target = serialize.parse_rational(entry["target_rho"])
+                passed = True if share <= 0 else value >= target * share
+            else:  # alloc: value >= (1 - epsilon) * rho * share
+                epsilon = serialize.parse_rational(doc["epsilon"])
+                passed = value >= (1 - epsilon) * serialize.parse_rational(entry["rho"]) * share
             if bool(entry.get("passed", True)) != passed:
                 sys.stderr.write(f"guarantee flag for {agent} is wrong\n")
                 return EXIT_FAIL
+    except (KeyError, TypeError, serialize.ParseError) as exc:
+        raise InputError(f"bad guarantee entry: {exc}") from exc
     sys.stdout.write("report verified\n")
     return EXIT_OK
 
@@ -369,7 +386,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- lpcert
 
 def cmd_lpcert(args: argparse.Namespace) -> int:
-    n = None if args.n == "inf" else int(args.n)
+    n = None if args.n == "inf" else _parse_int(args.n, "--n")
     try:
         system = build_theorem_system(_parse_fraction(args.z), n)
     except ValueError as exc:

@@ -12,7 +12,10 @@ and the winner pays her bid and picks an item.  Variants:
 
 Games are replayable: the transcript records every bid, win, pick and payment,
 and ``verify_transcript`` re-checks a transcript against the rules without
-needing the strategies.
+needing the strategies.  Playing, replaying and verifying all advance one
+ledger of the game state, whose ``apply`` checks a round against the rules,
+raising ``RuleViolation`` on the first broken one, and then updates budgets,
+spend, bundles, the remaining items and who is still active.
 """
 
 from __future__ import annotations
@@ -30,6 +33,23 @@ TIE_POLICIES = ("lexicographic", "seeded", "adversarial", "scripted")
 
 class StrategyError(RuntimeError):
     """A strategy broke the rules in a way the engine does not repair."""
+
+
+class RuleViolation(StrategyError):
+    """A round, or the end of a game, that breaks a rule of the game.
+
+    ``round`` is the round's position in the game (counting from 1), or the
+    number of rounds played for the end-of-game rules; ``agent`` is the agent
+    at fault, when there is one.
+    """
+
+    def __init__(self, round: int, rule: str, agent: str | None, detail: str):
+        by = f" by {agent}" if agent is not None else ""
+        super().__init__(f"round {round}: {rule}{by}: {detail}")
+        self.round = round
+        self.rule = rule
+        self.agent = agent
+        self.detail = detail
 
 
 @dataclass(frozen=True)
@@ -111,17 +131,6 @@ class Transcript:
     unallocated: tuple[str, ...]
     violations: tuple[str, ...] = ()
 
-    @property
-    def seed(self) -> int | None:
-        return self.config.tie.seed
-
-
-def _deactivates(config: GameConfig, entitlement: Fraction, budget: Fraction, spent: Fraction) -> bool:
-    if config.mode == "altruistic":
-        limit = config.rho * entitlement
-        return spent > limit if config.strict_threshold else spent >= limit
-    return budget == 0
-
 
 class _TieBreaker:
     def __init__(self, tie: TieBreak):
@@ -147,6 +156,98 @@ class _TieBreaker:
         return pool[0]
 
 
+class _Ledger:
+    """The state of one game, advanced one checked round at a time.
+
+    ``check_bids`` checks each round's bidders, bid amounts, winner and
+    tie-break.  ``run_game`` turns it off: it takes the bids of the active
+    agents, clamps them to the budgets and draws the winner from ``breaker``
+    itself, and a seeded tie policy must be drawn exactly once per tied round.
+    """
+
+    def __init__(self, instance: Instance, config: GameConfig, check_bids: bool = True):
+        self.config = config
+        self.entitlements = {a.id: a.entitlement for a in instance.agents}
+        self.budgets = dict(self.entitlements)
+        self.spent = {i: Fraction(0) for i in self.budgets}
+        self.bundles: dict[str, frozenset[str]] = {i: frozenset() for i in self.budgets}
+        self.active = {i: True for i in self.budgets}
+        self.remaining = set(instance.items)
+        self.round = 0
+        self.breaker = _TieBreaker(config.tie)
+        self.check_bids = check_bids
+
+    @property
+    def over(self) -> bool:
+        return not self.remaining or not any(self.active.values())
+
+    def apply(self, rnd: Round) -> None:
+        """Check ``rnd`` as the next round of this game, then play it."""
+        number = self.round + 1
+
+        def broken(rule: str, agent: str | None, detail: str) -> RuleViolation:
+            return RuleViolation(number, rule, agent, detail)
+
+        if rnd.number != number:
+            raise broken("round number", None, f"numbered {rnd.number}")
+        if self.over:
+            raise broken("game over", None, "no item or no active agent is left")
+        winner = rnd.winner
+        if self.check_bids:
+            bidders = {i for i, on in self.active.items() if on}
+            if set(rnd.bids) != bidders:
+                odd = sorted(set(rnd.bids) ^ bidders)[0]
+                raise broken("bidders", odd, "the bidders must be exactly the active agents")
+            for agent, bid in rnd.bids.items():
+                if not 0 <= bid <= self.budgets[agent]:
+                    raise broken("bid range", agent, f"bid {bid} outside [0, {self.budgets[agent]}]")
+            top = max(rnd.bids.values())
+            pool = [a for a, b in rnd.bids.items() if b == top]
+            if winner not in pool:
+                raise broken("winner", winner, f"does not hold the top bid {top}")
+            if self.breaker.choose(pool, number) != winner:
+                raise broken("tie-break", winner, f"the {self.config.tie.policy} policy picks another")
+        picks = rnd.items
+        if not picks:
+            raise broken("picks", winner, "picked no item")
+        if len(set(picks)) != len(picks):
+            raise broken("picks", winner, "picked an item twice")
+        gone = [e for e in picks if e not in self.remaining]
+        if gone:
+            raise broken("picks", winner, f"picked unavailable items {gone}")
+        if self.config.mode != "multi_pick" and len(picks) != 1:
+            raise broken("picks", winner, f"picked {len(picks)} items outside multi_pick")
+        payment, bid, budget = rnd.payment, rnd.bids[winner], self.budgets[winner]
+        if payment != bid * len(picks):
+            raise broken("payment", winner, f"paid {payment} for {len(picks)} items at {bid}")
+        if payment > budget:
+            raise broken("budget", winner, f"paid {payment} from a budget of {budget}")
+
+        self.budgets[winner] -= payment
+        self.spent[winner] += payment
+        self.bundles[winner] = self.bundles[winner] | set(picks)
+        self.remaining -= set(picks)
+        if self.config.mode == "altruistic":
+            limit = self.config.rho * self.entitlements[winner]
+            spent = self.spent[winner]
+            done = spent > limit if self.config.strict_threshold else spent >= limit
+        else:
+            done = self.budgets[winner] == 0
+        if done:
+            self.active[winner] = False
+        self.round = number
+
+    def snapshot(self) -> GameState:
+        return GameState(
+            round=self.round,
+            remaining=frozenset(self.remaining),
+            budgets=dict(self.budgets),
+            bundles=dict(self.bundles),
+            active=dict(self.active),
+            spent=dict(self.spent),
+        )
+
+
 def run_game(
     instance: Instance,
     strategies: Mapping[str, Strategy],
@@ -159,35 +260,28 @@ def run_game(
     for agent_id in ids:
         strategies[agent_id].start(agent_id, instance, config)
 
-    budgets = {a.id: a.entitlement for a in instance.agents}
-    entitlements = dict(budgets)
-    bundles: dict[str, frozenset[str]] = {i: frozenset() for i in ids}
-    spent = {i: Fraction(0) for i in ids}
-    active = {i: True for i in ids}
-    remaining = set(instance.items)
+    ledger = _Ledger(instance, config, check_bids=False)
     history: list[Mapping[str, Fraction]] = []
     rounds: list[Round] = []
     violations: list[str] = []
-    breaker = _TieBreaker(config.tie)
 
-    round_number = 0
-    while remaining and any(active.values()):
-        round_number += 1
+    while not ledger.over:
+        round_number = ledger.round + 1
         state = PublicState(
             round=round_number,
-            remaining=tuple(sorted(remaining)),
-            budgets=dict(budgets),
-            bundles=dict(bundles),
-            active=dict(active),
-            spent=dict(spent),
+            remaining=tuple(sorted(ledger.remaining)),
+            budgets=dict(ledger.budgets),
+            bundles=dict(ledger.bundles),
+            active=dict(ledger.active),
+            spent=dict(ledger.spent),
             bid_history=tuple(history),
         )
         bids: dict[str, Fraction] = {}
         for agent_id in ids:
-            if not active[agent_id]:
+            if not ledger.active[agent_id]:
                 continue
             bid = Fraction(strategies[agent_id].bid(state))
-            legal = min(max(bid, Fraction(0)), budgets[agent_id])
+            legal = min(max(bid, Fraction(0)), ledger.budgets[agent_id])
             if legal != bid:
                 violations.append(
                     f"round {round_number}: bid {bid} by {agent_id} clamped to {legal}"
@@ -195,122 +289,72 @@ def run_game(
             bids[agent_id] = legal
         top = max(bids.values())
         pool = [a for a, b in bids.items() if b == top]
-        winner = breaker.choose(pool, round_number)
+        winner = ledger.breaker.choose(pool, round_number)
 
         picks = tuple(strategies[winner].pick(state))
-        if not picks:
-            raise StrategyError(f"{winner} picked no item in round {round_number}")
-        if len(set(picks)) != len(picks) or any(e not in remaining for e in picks):
-            raise StrategyError(f"{winner} picked unavailable items in round {round_number}")
-        if config.mode != "multi_pick" and len(picks) != 1:
-            raise StrategyError(f"{winner} must pick exactly one item in round {round_number}")
         if config.mode == "multi_pick" and bids[winner] > 0:
-            affordable = int(budgets[winner] / bids[winner])
+            affordable = int(ledger.budgets[winner] / bids[winner])
             if len(picks) > affordable:
                 violations.append(
                     f"round {round_number}: {winner} afforded only {affordable} picks"
                 )
                 picks = picks[:affordable]
 
-        payment = bids[winner] * len(picks)
-        budgets[winner] -= payment
-        spent[winner] += payment
-        bundles[winner] = bundles[winner] | set(picks)
-        remaining -= set(picks)
-        if _deactivates(config, entitlements[winner], budgets[winner], spent[winner]):
-            active[winner] = False
+        rnd = Round(round_number, dict(bids), winner, picks, bids[winner] * len(picks))
+        ledger.apply(rnd)
         history.append(dict(bids))
-        rounds.append(Round(round_number, dict(bids), winner, picks, payment))
+        rounds.append(rnd)
 
-    allocation: Allocation = {i: bundles[i] for i in ids}
     transcript = Transcript(
         config=config,
         rounds=tuple(rounds),
-        allocation={i: bundles[i] for i in ids},
+        allocation=dict(ledger.bundles),
         agent_ids=ids,
-        unallocated=tuple(sorted(remaining)),
+        unallocated=tuple(sorted(ledger.remaining)),
         violations=tuple(violations),
     )
-    return allocation, transcript
+    return dict(ledger.bundles), transcript
 
 
 def state_after(instance: Instance, transcript: Transcript, upto: int) -> GameState:
-    """Reconstruct the game state after the first ``upto`` rounds."""
-    config = transcript.config
-    budgets = {a.id: a.entitlement for a in instance.agents}
-    entitlements = dict(budgets)
-    bundles: dict[str, frozenset[str]] = {i: frozenset() for i in instance.agent_ids}
-    spent = {i: Fraction(0) for i in instance.agent_ids}
-    active = {i: True for i in instance.agent_ids}
-    remaining = set(instance.items)
+    """Reconstruct the game state after the first ``upto`` rounds.
+
+    The rounds are checked as they are replayed: a broken rule raises
+    ``RuleViolation``.
+    """
+    ledger = _Ledger(instance, transcript.config)
     for rnd in transcript.rounds[:upto]:
-        budgets[rnd.winner] -= rnd.payment
-        spent[rnd.winner] += rnd.payment
-        bundles[rnd.winner] = bundles[rnd.winner] | set(rnd.items)
-        remaining -= set(rnd.items)
-        if _deactivates(config, entitlements[rnd.winner], budgets[rnd.winner], spent[rnd.winner]):
-            active[rnd.winner] = False
-    return GameState(
-        round=min(upto, len(transcript.rounds)),
-        remaining=frozenset(remaining),
-        budgets=budgets,
-        bundles=bundles,
-        active=active,
-        spent=spent,
-    )
+        ledger.apply(rnd)
+    return ledger.snapshot()
 
 
-def verify_transcript(transcript: Transcript, instance: Instance, config: GameConfig | None = None) -> bool:
+def check_transcript(transcript: Transcript, instance: Instance) -> None:
     """Re-check a transcript against the game rules, without the strategies.
 
-    Validates bid legality, winner maximality and tie-break consistency,
-    payments, pick availability, deactivation timing, and that the final
-    allocation matches the recorded picks.
+    Replays every round through the rules (bid legality, winner maximality
+    and tie-break consistency, payments, pick availability, deactivation
+    timing), then checks that the game stopped only when it had to and that
+    the recorded allocation and unallocated items match the picks.  Raises
+    ``RuleViolation`` for the first rule broken.
     """
-    config = config or transcript.config
-    budgets = {a.id: a.entitlement for a in instance.agents}
-    entitlements = dict(budgets)
-    bundles: dict[str, frozenset[str]] = {i: frozenset() for i in instance.agent_ids}
-    spent = {i: Fraction(0) for i in instance.agent_ids}
-    active = {i: True for i in instance.agent_ids}
-    remaining = set(instance.items)
-    breaker = _TieBreaker(config.tie)
-
-    expected_number = 0
+    ledger = _Ledger(instance, transcript.config)
     for rnd in transcript.rounds:
-        expected_number += 1
-        if rnd.number != expected_number:
-            return False
-        if not remaining or not any(active.values()):
-            return False
-        if set(rnd.bids) != {i for i in instance.agent_ids if active[i]}:
-            return False
-        if any(not (0 <= b <= budgets[i]) for i, b in rnd.bids.items()):
-            return False
-        top = max(rnd.bids.values())
-        pool = [a for a, b in rnd.bids.items() if b == top]
-        if rnd.winner not in pool or breaker.choose(pool, rnd.number) != rnd.winner:
-            return False
-        picks = rnd.items
-        if not picks or len(set(picks)) != len(picks) or any(e not in remaining for e in picks):
-            return False
-        if config.mode != "multi_pick" and len(picks) != 1:
-            return False
-        if rnd.payment != rnd.bids[rnd.winner] * len(picks):
-            return False
-        if rnd.payment > budgets[rnd.winner]:
-            return False
-        budgets[rnd.winner] -= rnd.payment
-        spent[rnd.winner] += rnd.payment
-        bundles[rnd.winner] = bundles[rnd.winner] | set(picks)
-        remaining -= set(picks)
-        if _deactivates(config, entitlements[rnd.winner], budgets[rnd.winner], spent[rnd.winner]):
-            active[rnd.winner] = False
+        ledger.apply(rnd)
+    played, won, recorded = ledger.round, ledger.bundles, transcript.allocation
+    if not ledger.over:
+        left = len(ledger.remaining)
+        raise RuleViolation(played, "stopped early", None, f"{left} items left to active agents")
+    wrong = sorted(a for a in set(recorded) | set(won) if recorded.get(a) != won.get(a))
+    if wrong:
+        raise RuleViolation(played, "allocation", wrong[0], "recorded bundle differs from the items won")
+    if set(transcript.unallocated) != ledger.remaining:
+        raise RuleViolation(played, "unallocated", None, "recorded items differ from the items left")
 
-    if remaining and any(active.values()):
-        return False  # game stopped early
-    if dict(transcript.allocation) != bundles:
-        return False
-    if set(transcript.unallocated) != remaining:
+
+def verify_transcript(transcript: Transcript, instance: Instance) -> bool:
+    """Whether ``check_transcript`` finds no broken rule."""
+    try:
+        check_transcript(transcript, instance)
+    except RuleViolation:
         return False
     return True

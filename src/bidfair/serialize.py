@@ -254,12 +254,6 @@ def partition_to_dict(partition: FractionalPartition) -> list:
     ]
 
 
-def partition_from_dict(entries: list) -> FractionalPartition:
-    return FractionalPartition(
-        tuple((frozenset(e["bundle"]), parse_rational(e["weight"])) for e in entries)
-    )
-
-
 def report_to_dict(
     instance: Instance,
     transcript: Transcript,

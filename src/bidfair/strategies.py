@@ -270,30 +270,3 @@ class RandomBidder(Strategy):
     def pick(self, state: PublicState) -> Sequence[str]:
         return [self.rng.choice(sorted(state.remaining))]
 
-
-def make_proportional_aps(
-    valuation: ValuationOracle,
-    entitlement: Fraction | int,
-    rho: RhoLike = None,
-    share: Fraction | int = 0,
-) -> ProportionalBidder:
-    return ProportionalBidder(valuation, entitlement, share, rho)
-
-
-def make_altruistic_proportional_mms(
-    valuation: ValuationOracle,
-    entitlement: Fraction | int,
-    share: Fraction | int,
-) -> AltruisticProportionalBidder:
-    return AltruisticProportionalBidder(valuation, entitlement, share)
-
-
-def make_unit_demand_full_budget(valuation: ValuationOracle) -> UnitDemandFullBudgetBidder:
-    return UnitDemandFullBudgetBidder(valuation)
-
-
-def make_scripted(
-    bids: Sequence[Fraction | int],
-    picks: Sequence[Sequence[str] | str | None] | None = None,
-) -> ScriptedBidder:
-    return ScriptedBidder(bids, picks)

@@ -18,7 +18,7 @@ from bidfair.engine import GameConfig, TieBreak, run_game, state_after
 from bidfair.model import FractionalPartition, make_instance, residual_instance
 from bidfair.negatives import gen_random_submodular
 from bidfair.shares import aps_exact
-from bidfair.strategies import ProportionalBidder, ScriptedBidder, ZeroBidder
+from bidfair.strategies import ProportionalBidder, RandomBidder, ScriptedBidder, ZeroBidder
 from bidfair.valuations import AdditiveValuation, truncate_valuation
 
 
@@ -145,6 +145,45 @@ def test_diagnostics_reject_invalid_partition():
     overweight = FractionalPartition(((frozenset(["e1", "e2"]), Fraction(1)),))
     with pytest.raises(ValueError):
         lower_bound_diagnostics(tr, inst, "p", overweight)  # coverage 1 > 1/2
+
+
+def scan_settle_round(inst, tr, agent, start):
+    """First round boundary from ``start`` on where rivals are done or items gone."""
+    for r in range(start, len(tr.rounds) + 1):
+        state = state_after(inst, tr, r)
+        if not state.remaining or not any(on for a, on in state.active.items() if a != agent):
+            return r
+    return None
+
+
+def test_settle_round_matches_a_state_after_scan():
+    # diagnostics replay the game once; a scan of state_after at every round
+    # boundary must find the same settle round, window and holdings
+    empty = FractionalPartition(((frozenset(), Fraction(1)),))
+    for seed in range(6):
+        inst = gen_random_submodular(seed, 3, 6, entitlements="random")
+        config = GameConfig(
+            mode="altruistic" if seed % 2 else "standard",
+            rho=Fraction(1, 2) if seed % 2 else None,
+            tie=TieBreak("seeded", seed=seed),
+        )
+        strategies = {a: RandomBidder(seed * 10 + i) for i, a in enumerate(inst.agent_ids)}
+        _, tr = run_game(inst, strategies, config)
+        for agent in inst.agent_ids:
+            for start in range(len(tr.rounds) + 2):
+                settle = scan_settle_round(inst, tr, agent, start)
+                if settle is None:
+                    with pytest.raises(ValueError):
+                        lower_bound_diagnostics(tr, inst, agent, empty, start_round=start)
+                    continue
+                diag = lower_bound_diagnostics(tr, inst, agent, empty, start_round=start)
+                assert diag.settle_round == settle
+                opening = state_after(inst, tr, start)
+                assert diag.window_items == opening.remaining
+                window = tr.rounds[start:settle]
+                won = {e for r in window if r.winner == agent for e in r.items}
+                assert diag.held == opening.bundles[agent] | won
+                assert diag.taken_by_others == {e for r in window if r.winner != agent for e in r.items}
 
 
 def big_small_fixture():

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bidfair.engine import (
+    MODES,
     GameConfig,
     Round,
+    RuleViolation,
     StrategyError,
     TieBreak,
+    check_transcript,
     run_game,
     state_after,
     verify_transcript,
@@ -315,3 +318,72 @@ def test_seeded_games_are_reproducible(seed):
     first = run_game(inst, {"a0": RandomBidder(seed + 1), "a1": RandomBidder(seed + 2)}, config)
     second = run_game(inst, {"a0": RandomBidder(seed + 1), "a1": RandomBidder(seed + 2)}, config)
     assert first == second
+
+
+class Grabber(RandomBidder):
+    """Random bids and picks; in multi-pick games it grabs up to two items."""
+
+    def __init__(self, seed, most):
+        super().__init__(seed)
+        self.most = most
+
+    def pick(self, state):
+        k = self.rng.randint(1, min(self.most, len(state.remaining)))
+        return self.rng.sample(sorted(state.remaining), k)
+
+
+def tamper(inst, tr, index, field):
+    """Change one field of round ``index`` so that the round breaks a rule."""
+    rnd = tr.rounds[index]
+    if field == "payment":
+        rnd = dataclasses.replace(rnd, payment=rnd.payment + 1)
+    elif field == "winner":
+        rnd = dataclasses.replace(rnd, winner=next(a for a in inst.agent_ids if a != rnd.winner))
+    elif field == "item":
+        other = next(e for e in inst.items if e != rnd.items[0])
+        rnd = dataclasses.replace(rnd, items=(other,) + rnd.items[1:])
+    elif field == "number":
+        rnd = dataclasses.replace(rnd, number=rnd.number + 1)
+    else:  # one bid: the winner's no longer matches the payment, a rival's tops the winner's
+        bidder = sorted(rnd.bids)[index % len(rnd.bids)]
+        bid, top = rnd.bids[bidder], rnd.bids[rnd.winner]
+        if bidder == rnd.winner:
+            new = bid / 2 if bid > 0 else bid + 1
+        else:
+            budget = state_after(inst, tr, index).budgets[bidder]
+            new = (top + budget) / 2 if budget > top else top + 1
+        rnd = dataclasses.replace(rnd, bids={**rnd.bids, bidder: new})
+    return dataclasses.replace(tr, rounds=tr.rounds[:index] + (rnd,) + tr.rounds[index + 1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    mode=st.sampled_from(MODES),
+    policy=st.sampled_from(["lexicographic", "seeded", "adversarial"]),
+    n=st.integers(min_value=2, max_value=4),
+    m=st.integers(min_value=2, max_value=6),
+    field=st.sampled_from(["payment", "winner", "item", "bid", "number"]),
+    data=st.data(),
+)
+def test_every_single_field_tamper_is_rejected(seed, mode, policy, n, m, field, data):
+    items = [f"e{j}" for j in range(m)]
+    v = AdditiveValuation({e: 1 for e in items})
+    inst = make_instance(items, [(f"a{i}", Fraction(1, n), v) for i in range(n)])
+    tie = TieBreak(policy, seed=seed if policy == "seeded" else None,
+                   target="a0" if policy == "adversarial" else None)
+    config = GameConfig(mode=mode, rho=Fraction(1, 2) if mode == "altruistic" else None, tie=tie)
+    most = 2 if mode == "multi_pick" else 1
+    _, tr = run_game(inst, {a: Grabber(seed + i, most) for i, a in enumerate(inst.agent_ids)}, config)
+    assert verify_transcript(tr, inst)
+
+    index = data.draw(st.integers(min_value=0, max_value=len(tr.rounds) - 1))
+    forged = tamper(inst, tr, index, field)
+    assert not verify_transcript(forged, inst)
+    with pytest.raises(RuleViolation) as caught:
+        check_transcript(forged, inst)
+    # a swapped item may stay legal until a later round or the final allocation
+    if field == "item":
+        assert caught.value.round >= index + 1
+    else:
+        assert caught.value.round == index + 1

@@ -167,6 +167,7 @@ def test_cli_gen_shares_play_verify_flow(tmp_path, capsys):
     bad_path = tmp_path / "tampered.json"
     bad_path.write_text(json.dumps(doc))
     assert run_cli("verify", str(bad_path)) == 1
+    assert "round 1: payment by " in capsys.readouterr().err
 
 
 def test_cli_verify_rejects_broken_altruistic_transcript(tmp_path, capsys):
@@ -183,10 +184,12 @@ def test_cli_verify_rejects_broken_altruistic_transcript(tmp_path, capsys):
     # an agent keeps bidding after blowing past the spend cap
     rounds = doc["transcript"]["rounds"]
     spender = rounds[0]["winner"]
+    first_forged = next(r["number"] for r in rounds if spender not in r["bids"])
     for rnd in rounds:
         rnd["bids"].setdefault(spender, "1/1000")
     (tmp_path / "forged.json").write_text(json.dumps(doc))
     assert run_cli("verify", str(tmp_path / "forged.json")) == 1
+    assert f"round {first_forged}: bidders by {spender}" in capsys.readouterr().err
 
 
 def test_cli_builtin_negative_runs(tmp_path):
@@ -209,7 +212,7 @@ def test_cli_gen_builtin_instances(tmp_path):
                    "-o", str(tmp_path / "xos.json")) == 0
 
 
-def test_cli_alloc_with_exact_check(tmp_path):
+def test_cli_alloc_with_exact_check(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     run_cli("gen", "random", "--seed", "6", "--agents", "3", "--items", "6",
             "--entitlements", "random", "-o", str(inst_path))
@@ -219,6 +222,20 @@ def test_cli_alloc_with_exact_check(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["conditional_calls"] >= 1
     assert all(entry["passed"] for entry in doc["guarantees"])
+    assert run_cli("verify", str(out)) == 0
+
+    # verify re-checks each flag as value >= (1 - epsilon) * rho * share
+    doc["guarantees"][0]["passed"] = False
+    bad = tmp_path / "flipped.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("verify", str(bad)) == 1
+    agent = doc["guarantees"][0]["agent"]
+    assert f"guarantee flag for {agent} is wrong" in capsys.readouterr().err
+    # malformed guarantee entries are input errors, not tracebacks
+    for broken in ({k: v for k, v in doc.items() if k != "epsilon"}, {**doc, "guarantees": ["oops"]}):
+        bad.write_text(json.dumps(broken))
+        assert run_cli("verify", str(bad)) == 2
+    capsys.readouterr()
 
 
 def test_cli_lpcert(tmp_path):
@@ -231,6 +248,18 @@ def test_cli_lpcert(tmp_path):
     assert run_cli("lpcert", "--z", "13/5", "--n", "100", "-o", str(out)) == 0
     assert json.loads(out.read_text())["feasible"] is True
     assert run_cli("lpcert", "--z", "2/1", "--n", "10") == 2  # below validity floor
+
+
+def test_cli_lpcert_non_integer_n_is_input_error(capsys):
+    assert run_cli("lpcert", "--z", "27/10", "--n", "abc") == 2
+    assert "--n must be an integer" in capsys.readouterr().err
+
+
+def test_cli_bad_random_seed_is_input_error(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen", "random", "--seed", "1", "--agents", "2", "--items", "4", "-o", str(inst_path))
+    assert run_cli("play", str(inst_path), "--default-strategy", "random:seed=x") == 2
+    assert "random seed must be an integer" in capsys.readouterr().err
 
 
 def test_cli_input_errors(tmp_path, capsys):

