@@ -27,7 +27,7 @@ from .analysis import (
 )
 from .engine import GameConfig, RuleViolation, TieBreak, check_transcript, run_game
 from .model import Instance
-from .shares import aps_exact, mms_exact, aps_unit_demand
+from .shares import SizeGuardSettingError, aps_exact, aps_unit_demand, mms_exact
 from .strategies import (
     AltruisticProportionalBidder,
     ConstantBidder,
@@ -131,23 +131,20 @@ def cmd_shares(args: argparse.Namespace) -> int:
     for agent_id in agents:
         spec = instance.agent(agent_id)
         entry: dict = {"agent": agent_id, "entitlement": serialize.rational_str(spec.entitlement)}
-        try:
-            if args.share in ("mms", "both"):
-                res = mms_exact(spec.valuation, n, instance.items, args.max_items)
-                entry["mms"] = serialize.rational_str(res.value)
-                entry["mms_witness"] = [sorted(b) for b in res.witness]
-            if args.share in ("aps", "both"):
-                res = aps_exact(spec.valuation, spec.entitlement, instance.items, args.max_items)
-                entry["aps"] = serialize.rational_str(res.value)
-                entry["aps_witness"] = serialize.partition_to_dict(res.witness)
-                if isinstance(spec.valuation, UnitDemandValuation):
-                    closed = aps_unit_demand(
-                        [spec.valuation.item_values.get(e, Fraction(0)) for e in instance.items],
-                        spec.entitlement,
-                    )
-                    entry["aps_closed_form"] = serialize.rational_str(closed)
-        except SizeGuardExceeded as exc:
-            raise InputError(str(exc)) from exc
+        if args.share in ("mms", "both"):
+            res = mms_exact(spec.valuation, n, instance.items, args.max_items)
+            entry["mms"] = serialize.rational_str(res.value)
+            entry["mms_witness"] = [sorted(b) for b in res.witness]
+        if args.share in ("aps", "both"):
+            res = aps_exact(spec.valuation, spec.entitlement, instance.items, args.max_items)
+            entry["aps"] = serialize.rational_str(res.value)
+            entry["aps_witness"] = serialize.partition_to_dict(res.witness)
+            if isinstance(spec.valuation, UnitDemandValuation):
+                closed = aps_unit_demand(
+                    [spec.valuation.item_values.get(e, Fraction(0)) for e in instance.items],
+                    spec.entitlement,
+                )
+                entry["aps_closed_form"] = serialize.rational_str(closed)
         entries.append(entry)
     _write_text(args.output, serialize.dumps({"format": "bidfair/shares", "version": 1, "shares": entries}))
     return EXIT_OK
@@ -247,26 +244,20 @@ def cmd_play(args: argparse.Namespace) -> int:
             raise InputError(f"no agent {agent_id!r} in this instance")
         assigned[agent_id] = spec_text
     strategies = {}
-    try:
-        for agent_id in instance.agent_ids:
-            spec_text = assigned.get(agent_id, args.default_strategy)
-            strategies[agent_id] = _parse_strategy_spec(spec_text, instance, agent_id)
-    except SizeGuardExceeded as exc:
-        raise InputError(str(exc)) from exc
+    for agent_id in instance.agent_ids:
+        spec_text = assigned.get(agent_id, args.default_strategy)
+        strategies[agent_id] = _parse_strategy_spec(spec_text, instance, agent_id)
     allocation, transcript = run_game(instance, strategies, config)
 
     guarantees = None
     failed = False
     if args.report_shares:
         shares = {}
-        try:
-            for spec in instance.agents:
-                if args.report_shares == "aps":
-                    shares[spec.id] = aps_exact(spec.valuation, spec.entitlement, instance.items).value
-                else:
-                    shares[spec.id] = mms_exact(spec.valuation, len(instance.agents), instance.items).value
-        except SizeGuardExceeded as exc:
-            raise InputError(str(exc)) from exc
+        for spec in instance.agents:
+            if args.report_shares == "aps":
+                shares[spec.id] = aps_exact(spec.valuation, spec.entitlement, instance.items).value
+            else:
+                shares[spec.id] = mms_exact(spec.valuation, len(instance.agents), instance.items).value
         target = _parse_fraction(args.target_rho) if args.target_rho else Fraction(0)
         report = guarantee_report(instance, allocation, shares, {a: target for a in shares})
         failed = not report.all_passed
@@ -293,15 +284,12 @@ def cmd_alloc(args: argparse.Namespace) -> int:
     epsilon = _parse_fraction(args.epsilon) if args.epsilon else default_epsilon(args.mode, instance)
     exact = None
     if args.check_exact:
-        try:
-            exact = {}
-            for spec in instance.agents:
-                if args.mode == "aps":
-                    exact[spec.id] = aps_exact(spec.valuation, spec.entitlement, instance.items).value
-                else:
-                    exact[spec.id] = mms_exact(spec.valuation, len(instance.agents), instance.items).value
-        except SizeGuardExceeded as exc:
-            raise InputError(str(exc)) from exc
+        exact = {}
+        for spec in instance.agents:
+            if args.mode == "aps":
+                exact[spec.id] = aps_exact(spec.valuation, spec.entitlement, instance.items).value
+            else:
+                exact[spec.id] = mms_exact(spec.valuation, len(instance.agents), instance.items).value
     try:
         outcome = unconditional_allocate(
             instance, epsilon, mode=args.mode, exact_shares=exact
@@ -484,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, SizeGuardExceeded, SizeGuardSettingError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

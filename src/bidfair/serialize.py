@@ -222,18 +222,26 @@ def transcript_to_dict(transcript: Transcript) -> dict:
     }
 
 
+def _typed(doc: Mapping[str, Any], key: str, kind: type) -> Any:
+    value = doc[key]
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise ParseError(f"{key!r} must be {expected}, not {type(value).__name__}")
+    return value
+
+
 def transcript_from_dict(doc: Mapping[str, Any]) -> Transcript:
     _expect(doc, FORMAT_TRANSCRIPT)
     try:
         rounds = tuple(
             Round(
                 number=r["number"],
-                bids={a: parse_rational(b) for a, b in r["bids"].items()},
+                bids={a: parse_rational(b) for a, b in _typed(r, "bids", dict).items()},
                 winner=r["winner"],
-                items=tuple(r["items"]),
+                items=tuple(_typed(r, "items", list)),
                 payment=parse_rational(r["payment"]),
             )
-            for r in doc["rounds"]
+            for r in _typed(doc, "rounds", list)
         )
         return Transcript(
             config=config_from_dict(doc["config"]),

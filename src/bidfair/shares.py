@@ -7,10 +7,16 @@ desk scale, not production approximation algorithms.
 
 The anyprice share of an agent with entitlement b is the largest value z for
 which bundle weights {lambda_T} exist with total weight 1, support restricted
-to bundles of value at least z, and per-item coverage at most b.  The witness
-returned is such a weight vector.  The maximin share is the best worst-bundle
-value over partitions of the items into n (possibly empty) bundles; the
-witness is an optimal partition.
+to bundles of value at least z, and per-item coverage at most b.  It is found
+by binary search over the distinct bundle values.  Each probe z solves a
+packing LP: maximise sum lambda_T subject to per-item coverage at most b,
+over the inclusion-minimal bundles at z (value at least z, no proper subset
+of value at least z).  Shrinking a support bundle to a minimal one only lowers
+coverage, so z is feasible iff the optimum is at least 1, and the witness is
+the optimal lambda scaled to total weight 1.  All rows are <= rows with a
+positive right-hand side, so the exact simplex starts from the slack basis.
+The maximin share is the best worst-bundle value over partitions of the items
+into n (possibly empty) bundles; the witness is an optimal partition.
 """
 
 from __future__ import annotations
@@ -22,12 +28,21 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .model import FractionalPartition
-from .simplex import feasible_point
+from .simplex import solve_lp
 from .valuations import SizeGuardExceeded, ValuationOracle
 
 
+class SizeGuardSettingError(ValueError):
+    """BIDFAIR_SIZE_GUARD holds something other than a nonnegative integer."""
+
+
 def default_size_guard() -> int:
-    return int(os.environ.get("BIDFAIR_SIZE_GUARD", "12"))
+    text = os.environ.get("BIDFAIR_SIZE_GUARD", "12")
+    if not text.strip().isdecimal():
+        raise SizeGuardSettingError(
+            f"BIDFAIR_SIZE_GUARD must be a nonnegative integer, not {text!r}"
+        )
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -95,30 +110,49 @@ def mms_exact(
     return ShareResult(best_value, witness)
 
 
-def _coverage_feasible(
-    z_index: int,
-    candidates: Sequence[Fraction],
-    table: Sequence[Fraction],
+def _proper_subset_ranks(ranks: Sequence[int], m: int) -> list[int]:
+    """For each mask, the highest rank of any proper subset (-1 for the empty mask).
+
+    One-bit-removal DP: every proper subset of a mask lies inside some
+    mask minus one item, so ``reach[mask]``, the highest rank of any subset
+    of mask including itself, is built from the one-item-smaller masks.
+    """
+    below = [-1] * len(ranks)
+    reach = list(ranks)
+    for mask in range(1, len(ranks)):
+        top = max(reach[mask ^ (1 << i)] for i in range(m) if mask >> i & 1)
+        below[mask] = top
+        if top > reach[mask]:
+            reach[mask] = top
+    return below
+
+
+def _packing_witness(
+    z_rank: int,
+    ranks: Sequence[int],
+    below: Sequence[int],
     items: Sequence[str],
     entitlement: Fraction,
 ) -> FractionalPartition | None:
-    """Feasibility of the weight system at z = candidates[z_index]."""
-    z = candidates[z_index]
-    masks = [mask for mask in range(len(table)) if table[mask] >= z]
+    """Bundle weights of total 1 reaching rank z_rank, or None if there are none.
+
+    Maximises the total weight over the inclusion-minimal bundles at z subject
+    to per-item coverage at most b.  The probe z always exceeds v(empty), so
+    every column is a nonempty bundle and the optimum is finite.
+    """
+    masks = [mask for mask in range(len(ranks)) if ranks[mask] >= z_rank > below[mask]]
     m = len(items)
-    a_eq = [[1] * len(masks)]
-    b_eq = [1]
     a_ub = [[(mask >> j) & 1 for mask in masks] for j in range(m)]
-    b_ub = [entitlement] * m
-    result = feasible_point(len(masks), a_ub, b_ub, a_eq, b_eq)
-    if result.status != "optimal":
+    result = solve_lp([1] * len(masks), a_ub=a_ub, b_ub=[entitlement] * m)
+    if result.objective < 1:
         return None
-    entries = tuple(
-        (_mask_to_bundle(mask, items), weight)
-        for mask, weight in zip(masks, result.x)
-        if weight > 0
+    return FractionalPartition(
+        tuple(
+            (_mask_to_bundle(mask, items), weight / result.objective)
+            for mask, weight in zip(masks, result.x)
+            if weight > 0
+        )
     )
-    return FractionalPartition(entries)
 
 
 def aps_exact(
@@ -134,14 +168,17 @@ def aps_exact(
     items = _checked_items(items, max_items)
     table = value_table(v, items)
     candidates = sorted(set(table))
+    rank = {value: r for r, value in enumerate(candidates)}
+    ranks = [rank[value] for value in table]
+    below = _proper_subset_ranks(ranks, len(items))
 
-    # z = 0 is witnessed by putting all weight on the empty bundle
-    lo = candidates.index(Fraction(0)) if Fraction(0) in candidates else 0
+    # every z <= v(empty) is witnessed by putting all weight on the empty bundle
+    lo = ranks[0]
     best = FractionalPartition(((frozenset(), Fraction(1)),))
     hi = len(candidates) - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        witness = _coverage_feasible(mid, candidates, table, items, b)
+        witness = _packing_witness(mid, ranks, below, items, b)
         if witness is None:
             hi = mid - 1
         else:

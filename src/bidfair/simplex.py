@@ -1,7 +1,8 @@
 """Exact rational linear programming via two-phase tableau simplex.
 
 Solves   max/min c.x   subject to   A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
-with exact rational arithmetic (gmpy2.mpq when available, Fraction otherwise).
+with exact rational arithmetic: gmpy2.mpq when gmpy2 is installed (the optional
+``gmpy2`` extra), fractions.Fraction otherwise.  ``BACKEND`` names the one in use.
 Bland's rule is used throughout, so the solver terminates on every input.
 
 Beyond optima, the solver reports row multipliers: ``duals`` at optimality and
@@ -18,8 +19,11 @@ from typing import Sequence
 
 try:
     from gmpy2 import mpq as _rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+
+    BACKEND = "gmpy2.mpq"
+except ImportError:  # gmpy2 is optional; results are identical, pivots slower
     _rat = Fraction
+    BACKEND = "fractions.Fraction"
 
 _ZERO = _rat(0)
 _ONE = _rat(1)
@@ -212,7 +216,11 @@ def feasible_point(
     a_eq: Sequence[Sequence] = (),
     b_eq: Sequence = (),
 ) -> LPResult:
-    """Phase-1 style feasibility check for A_ub x <= b_ub, A_eq x = b_eq, x >= 0."""
+    """Phase-1 style feasibility check for A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
+
+    Public entry point that the package itself does not call; tests and
+    perfbench/tracer.py look it up by name.
+    """
     return solve_lp([0] * n_vars, a_ub, b_ub, a_eq, b_eq)
 
 

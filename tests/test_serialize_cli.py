@@ -278,6 +278,45 @@ def test_cli_size_guard_is_input_error(tmp_path):
     assert run_cli("shares", str(inst_path)) == 2  # 32 items exceed the guard
 
 
+def test_cli_bad_size_guard_setting_is_input_error(tmp_path, capsys, monkeypatch):
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen", "random", "--seed", "1", "--agents", "2", "--items", "4", "-o", str(inst_path))
+    monkeypatch.setenv("BIDFAIR_SIZE_GUARD", "abc")
+    assert run_cli("shares", str(inst_path)) == 2
+    assert capsys.readouterr().err == "error: BIDFAIR_SIZE_GUARD must be a nonnegative integer, not 'abc'\n"
+
+
+def test_cli_verify_round_with_bids_list_is_input_error(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    report_path = tmp_path / "report.json"
+    run_cli("gen", "random", "--seed", "2", "--agents", "2", "--items", "4", "-o", str(inst_path))
+    assert run_cli("play", str(inst_path), "-o", str(report_path)) == 0
+    doc = json.loads(report_path.read_text())
+    doc["transcript"]["rounds"][0]["bids"] = []
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", str(report_path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'bids' must be an object, not list" in err
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(("rounds",), {}), (("rounds", 0, "bids"), "1/2"), (("rounds", 0, "items"), {"e0": 1}),
+     (("rounds", 0, "items"), "e0")],
+)
+def test_transcript_wrongly_typed_fields_are_parse_errors(path, value):
+    inst = make_instance(["e0"], [("a", 1, AdditiveValuation({"e0": 1}))])
+    _, transcript = run_game(inst, {"a": GreedyMarginalBidder(inst.valuation("a"))}, GameConfig())
+    doc = transcript_to_dict(transcript)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ParseError, match=f"'{path[-1]}' must be"):
+        transcript_from_dict(doc)
+
+
 def test_cli_deterministic_output(tmp_path):
     paths = []
     for tag in ("one", "two"):

@@ -2,23 +2,31 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bidfair.model import FractionalPartition
 from bidfair.shares import (
+    SizeGuardSettingError,
+    _proper_subset_ranks,
     aps_exact,
     aps_unit_demand,
     best_affordable,
+    default_size_guard,
     mms_exact,
+    value_table,
     verify_fractional_partition,
     verify_mms_partition,
 )
+from bidfair.simplex import solve_lp
 from bidfair.valuations import (
     AdditiveValuation,
     RowSubstitutesValuation,
     ScaledValuation,
     SizeGuardExceeded,
+    TableValuation,
     UnitDemandValuation,
     WeightedCoverageValuation,
     truncate_valuation,
@@ -182,6 +190,89 @@ def test_size_guard_and_env_override(monkeypatch):
     monkeypatch.setenv("BIDFAIR_SIZE_GUARD", "4")
     with pytest.raises(SizeGuardExceeded):
         mms_exact(v, 2, ["e0", "e1", "e2", "e3", "e4"])
+    for text in ("abc", "-1", "", "1.5", "²"):
+        monkeypatch.setenv("BIDFAIR_SIZE_GUARD", text)
+        with pytest.raises(SizeGuardSettingError, match="nonnegative integer"):
+            default_size_guard()
+
+
+def aps_equality_row(v, entitlement, items):
+    """APS through the earlier formulation: total weight exactly 1 over every bundle of value >= z."""
+    items = sorted(items)
+    m = len(items)
+    table = value_table(v, items)
+    candidates = sorted(set(table))
+
+    def feasible(z):
+        masks = [mask for mask in range(len(table)) if table[mask] >= z]
+        a_ub = [[mask >> j & 1 for mask in masks] for j in range(m)]
+        result = solve_lp(
+            [0] * len(masks), a_ub=a_ub, b_ub=[entitlement] * m, a_eq=[[1] * len(masks)], b_eq=[1]
+        )
+        return result.status == "optimal"
+
+    lo, hi = 0, len(candidates) - 1  # the smallest value is at most v(empty), hence feasible
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if feasible(candidates[mid]) else (lo, mid - 1)
+    return candidates[lo]
+
+
+def test_aps_below_zero_when_the_empty_bundle_is_negative():
+    # weight on {a} is capped at b = 1/2, so half the weight stays on the empty bundle
+    v = TableValuation(["a"], {frozenset(): -1, frozenset(["a"]): 0})
+    res = aps_exact(v, Fraction(1, 2), ["a"])
+    assert res.value == -1
+    assert verify_fractional_partition(res.witness, v, Fraction(1, 2), res.value)
+
+
+def test_proper_subset_ranks_match_brute_force():
+    rng = random.Random(4)
+    for m in range(7):
+        ranks = [rng.randint(0, 5) for _ in range(1 << m)]
+        below = _proper_subset_ranks(ranks, m)
+        for mask in range(1 << m):
+            proper = [ranks[sub] for sub in range(mask) if sub & mask == sub]
+            assert below[mask] == max(proper, default=-1)
+
+
+@st.composite
+def small_valuations(draw):
+    m = draw(st.integers(min_value=1, max_value=6))
+    items = [f"e{j}" for j in range(m)]
+    kind = draw(st.sampled_from(["additive", "coverage", "table"]))
+    if kind == "additive":
+        return AdditiveValuation({e: draw(st.integers(0, 3)) for e in items}), items
+    if kind == "coverage":
+        elements = [f"u{t}" for t in range(draw(st.integers(1, 5)))]
+        weights = {u: draw(st.integers(1, 6)) for u in elements}
+        covers = {e: draw(st.sets(st.sampled_from(elements), max_size=len(elements))) for e in items}
+        return WeightedCoverageValuation(weights, covers), items
+    # non-monotone, with a positive value on the empty bundle
+    table = {
+        frozenset(items[j] for j in range(m) if mask >> j & 1): draw(st.integers(0, 4))
+        for mask in range(1, 1 << m)
+    }
+    table[frozenset()] = draw(st.integers(1, 4))
+    return TableValuation(items, table), items
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    instance=small_valuations(),
+    entitlement=st.fractions(min_value=Fraction(1, 6), max_value=1, max_denominator=6),
+)
+def test_packing_aps_matches_equality_row_formulation(instance, entitlement):
+    v, items = instance
+    res = aps_exact(v, entitlement, items)
+    assert res.value == aps_equality_row(v, entitlement, items)
+    assert verify_fractional_partition(res.witness, v, entitlement, res.value)
+    for bundle, weight in res.witness.entries:
+        assert weight > 0
+        proper_subsets = (
+            frozenset(sub) for size in range(len(bundle)) for sub in combinations(sorted(bundle), size)
+        )
+        assert all(v.value(sub) < res.value for sub in proper_subsets)
 
 
 def test_doctests():

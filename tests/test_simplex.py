@@ -2,7 +2,13 @@
 
 from fractions import Fraction
 
+from bidfair import simplex
 from bidfair.simplex import feasible_point, solve_lp, verify_farkas
+
+
+def test_backend_names_the_rational_type_in_use():
+    assert simplex.BACKEND in ("gmpy2.mpq", "fractions.Fraction")
+    assert (simplex._rat is Fraction) == (simplex.BACKEND == "fractions.Fraction")
 
 
 def test_simple_maximum_with_duals():
