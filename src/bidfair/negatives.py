@@ -28,6 +28,7 @@ from .strategies import (
     ConstantBidder,
     ProportionalBidder,
     ScriptedBidder,
+    still_remaining,
 )
 from .valuations import (
     AdditiveValuation,
@@ -283,10 +284,20 @@ class XosSniperBidder(Strategy):
     def __init__(self, victim: str, column_of: Mapping[str, int]) -> None:
         self.victim = victim
         self.column_of = dict(column_of)
+        self.column_items: dict[int, list[str]] = {}
+        for e in sorted(self.column_of):
+            self.column_items.setdefault(self.column_of[e], []).append(e)
 
     def _targets(self, state: PublicState) -> list[str]:
+        """The remaining items of the victim's columns, in ascending order."""
         victim_columns = {self.column_of[e] for e in state.bundles[self.victim]}
-        return sorted(e for e in state.remaining if self.column_of[e] in victim_columns)
+        remaining = state.remaining  # ascending, as the engine gives it
+        return sorted(
+            e
+            for column in victim_columns
+            for e in self.column_items[column]
+            if still_remaining(remaining, e)
+        )
 
     def bid(self, state: PublicState) -> Fraction:
         if self._targets(state):

@@ -107,32 +107,52 @@ def valuation_to_dict(v: ValuationOracle) -> dict:
     raise ParseError(f"cannot serialize valuation of type {type(v).__name__}")
 
 
+def _typed(doc: Mapping[str, Any], key: str, kind: type) -> Any:
+    value = doc[key]
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise ParseError(f"{key!r} must be {expected}, not {type(value).__name__}")
+    return value
+
+
+def _all_typed(values: Any, kind: type, what: str) -> Any:
+    if not all(isinstance(value, kind) for value in values):
+        expected = "an object" if kind is dict else "a list"
+        raise ParseError(f"every {what} must be {expected}")
+    return values
+
+
 def valuation_from_dict(doc: Mapping[str, Any]) -> ValuationOracle:
     kind = doc.get("kind")
     if kind == "additive":
-        return AdditiveValuation({e: parse_rational(x) for e, x in doc["values"].items()})
+        values = _typed(doc, "values", dict)
+        return AdditiveValuation({e: parse_rational(x) for e, x in values.items()})
     if kind == "unit_demand":
-        return UnitDemandValuation({e: parse_rational(x) for e, x in doc["values"].items()})
+        values = _typed(doc, "values", dict)
+        return UnitDemandValuation({e: parse_rational(x) for e, x in values.items()})
     if kind == "xos":
+        clauses = _all_typed(_typed(doc, "clauses", list), dict, "clause")
         return XOSValuation(
-            [{e: parse_rational(x) for e, x in clause.items()} for clause in doc["clauses"]]
+            [{e: parse_rational(x) for e, x in clause.items()} for clause in clauses]
         )
     if kind == "row_substitutes":
         return RowSubstitutesValuation(
-            [list(row) for row in doc["rows"]],
-            [parse_rational(w) for w in doc["weights"]],
+            _all_typed(_typed(doc, "rows", list), list, "row"),
+            [parse_rational(w) for w in _typed(doc, "weights", list)],
         )
     if kind == "coverage":
+        covers = _typed(doc, "covers", dict)
+        _all_typed(covers.values(), list, "cover")
         return WeightedCoverageValuation(
-            {u: parse_rational(w) for u, w in doc["universe"].items()},
-            {e: frozenset(us) for e, us in doc["covers"].items()},
+            {u: parse_rational(w) for u, w in _typed(doc, "universe", dict).items()},
+            {e: frozenset(us) for e, us in covers.items()},
         )
     if kind == "table":
         table = {
             frozenset(k.split(",")) if k else frozenset(): parse_rational(x)
-            for k, x in doc["values"].items()
+            for k, x in _typed(doc, "values", dict).items()
         }
-        return TableValuation(doc["items"], table)
+        return TableValuation(_typed(doc, "items", list), table)
     raise ParseError(f"unknown valuation kind {kind!r}")
 
 
@@ -159,7 +179,7 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
             AgentSpec(
                 a["id"],
                 parse_rational(a["entitlement"]),
-                valuation_from_dict(a["valuation"]),
+                valuation_from_dict(_typed(a, "valuation", dict)),
             )
             for a in doc["agents"]
         )
@@ -220,14 +240,6 @@ def transcript_to_dict(transcript: Transcript) -> dict:
         "unallocated": list(transcript.unallocated),
         "violations": list(transcript.violations),
     }
-
-
-def _typed(doc: Mapping[str, Any], key: str, kind: type) -> Any:
-    value = doc[key]
-    if not isinstance(value, kind):
-        expected = "an object" if kind is dict else "a list"
-        raise ParseError(f"{key!r} must be {expected}, not {type(value).__name__}")
-    return value
 
 
 def transcript_from_dict(doc: Mapping[str, Any]) -> Transcript:

@@ -4,11 +4,19 @@ The share-proportional strategies receive the share value (exact or guessed)
 as an input rather than computing it, so the same code serves both direct
 play with oracle shares and the guess-refinement allocator.  Strategies see
 the game only through public state and their own value oracle.
+
+The marginal-value strategies rank the remaining items by marginal value over
+the bundle they hold once each time that bundle changes, and between their
+wins take the best still-remaining item from that ranking: a game costs such
+a bidder about (wins + 2) * (items + 1) value queries, not one query per
+remaining item every round.  The ranking is exact for every valuation.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,32 +31,58 @@ def default_rho(entitlement: Fraction) -> Fraction:
     return 1 / (3 - 2 * Fraction(entitlement))
 
 
-def _best_marginal(
-    v: ValuationOracle, held: frozenset[str], remaining: Sequence[str]
-) -> tuple[str | None, Fraction]:
-    """Item of maximal marginal value, earliest in canonical order on ties."""
-    best_item = None
-    best = Fraction(0)
-    base_value = v.value(held)
-    for item in sorted(remaining):
-        gain = v.value(held | {item}) - base_value
-        if best_item is None or gain > best:
-            best_item = item
-            best = gain
-    return best_item, best
+def still_remaining(remaining: Sequence[str], item: str) -> bool:
+    """Whether ``item`` is in ``remaining``, which is in ascending order."""
+    i = bisect_left(remaining, item)
+    return i < len(remaining) and remaining[i] == item
 
 
-def _best_singleton(
-    v: ValuationOracle, remaining: Sequence[str]
-) -> tuple[str | None, Fraction]:
-    best_item = None
-    best = Fraction(0)
-    for item in sorted(remaining):
-        val = v.value(frozenset([item]))
-        if best_item is None or val > best:
-            best_item = item
-            best = val
-    return best_item, best
+class _MarginalRanking:
+    """The remaining items ranked by marginal value over one held bundle.
+
+    Ranking over a bundle costs one value query per remaining item, plus one
+    for the bundle itself: items of larger gain come first, and equal gains
+    keep ascending item order.  Gains over a fixed bundle never change and
+    items only leave the game, so until the bundle changes the best item is
+    the first ranked one still remaining, found by a cursor that only moves
+    forward.  This holds for every valuation: it needs no submodularity.
+    """
+
+    def __init__(self, valuation: ValuationOracle) -> None:
+        self.valuation = valuation
+        self._held: frozenset[str] | None = None
+        self.base = Fraction(0)  # v(held)
+        self._items: list[str] = []
+        self._values: list[Fraction] = []  # v(held + item), in ranked order
+        self._cursor = 0
+
+    def best(self, held: frozenset[str], remaining: Sequence[str]) -> tuple[str | None, Fraction]:
+        """Item of maximal marginal value over ``held``, earliest in
+        ascending order on ties, with its gain; ``(None, 0)`` when no item
+        remains.  ``remaining`` must be in ascending order, as the engine
+        gives it."""
+        if held is not self._held and held != self._held:
+            self._rank(held, remaining)
+        items, i = self._items, self._cursor
+        while i < len(items) and not still_remaining(remaining, items[i]):
+            i += 1
+        self._cursor = i
+        if i == len(items):
+            return None, Fraction(0)
+        return items[i], self._values[i] - self.base
+
+    def _rank(self, held: frozenset[str], remaining: Sequence[str]) -> None:
+        v = self.valuation
+        values = [v.value(held | {e}) for e in remaining]
+        # exact integer sort keys: every value over the common denominator
+        common = math.lcm(*(x.denominator for x in values))
+        keys = [x.numerator * (common // x.denominator) for x in values]
+        order = sorted(range(len(values)), key=keys.__getitem__, reverse=True)
+        self._held = held
+        self.base = v.value(held)
+        self._items = [remaining[j] for j in order]
+        self._values = [values[j] for j in order]
+        self._cursor = 0
 
 
 class ZeroBidder(Strategy):
@@ -100,15 +134,19 @@ class ProportionalBidder(Strategy):
             truncate_valuation(valuation, self.share) if self.share > 0 else valuation
         )
         self.budget_capped_early = False
-
-    def _large_threshold(self) -> Fraction:
-        return 2 * self.rho * self.share
+        self._ranking = _MarginalRanking(self.valuation)
+        self._large: frozenset[str] | None = None  # items worth more than 2*rho*share
+        if self.share > 0:
+            self._coefficient = Fraction(1, 2) / self.rho * self.entitlement / self.share
 
     def _in_large_phase(self, remaining: Sequence[str]) -> bool:
         if self.share == 0:
             return False
-        threshold = self._large_threshold()
-        return any(self.valuation.value(frozenset([e])) > threshold for e in remaining)
+        if self._large is None:
+            threshold = 2 * self.rho * self.share
+            v = self.valuation
+            self._large = frozenset(e for e in remaining if v.value(frozenset([e])) > threshold)
+        return not self._large.isdisjoint(remaining)
 
     def bid(self, state: PublicState) -> Fraction:
         if self.share == 0:
@@ -116,22 +154,22 @@ class ProportionalBidder(Strategy):
         budget = state.budgets[self.agent_id]
         if self._in_large_phase(state.remaining):
             return budget
-        held = state.bundles[self.agent_id]
-        _, top_marginal = _best_marginal(self.valuation, held, state.remaining)
-        formula = Fraction(1, 2) / self.rho * self.entitlement / self.share * top_marginal
+        _, top_marginal = self._ranking.best(state.bundles[self.agent_id], state.remaining)
+        formula = self._coefficient * top_marginal
         if formula > budget:
-            if self.valuation.value(held) < self.rho * self.share:
+            if self._ranking.base < self.rho * self.share:
                 self.budget_capped_early = True
             return budget
         return formula
 
     def pick(self, state: PublicState) -> Sequence[str]:
-        if self.share > 0 and self._in_large_phase(state.remaining):
-            item, _ = _best_singleton(self.valuation, state.remaining)
+        if self._in_large_phase(state.remaining):
+            # the most valuable single item: the ranking over the empty bundle
+            item, _ = self._ranking.best(frozenset(), state.remaining)
         else:
-            item, gain = _best_marginal(self.valuation, state.bundles[self.agent_id], state.remaining)
+            item, gain = self._ranking.best(state.bundles[self.agent_id], state.remaining)
             if gain == 0:
-                item = sorted(state.remaining)[0]
+                item = state.remaining[0]
         return [item]
 
 
@@ -160,18 +198,19 @@ class AltruisticProportionalBidder(Strategy):
         else:
             self.scale = Fraction(0)
             self.valuation = valuation
+        self._ranking = _MarginalRanking(self.valuation)
 
     def bid(self, state: PublicState) -> Fraction:
         if self.share == 0:
             return Fraction(0)
         budget = state.budgets[self.agent_id]
-        _, top_marginal = _best_marginal(self.valuation, state.bundles[self.agent_id], state.remaining)
+        _, top_marginal = self._ranking.best(state.bundles[self.agent_id], state.remaining)
         return min(self.scale * top_marginal, budget)
 
     def pick(self, state: PublicState) -> Sequence[str]:
-        item, gain = _best_marginal(self.valuation, state.bundles[self.agent_id], state.remaining)
+        item, gain = self._ranking.best(state.bundles[self.agent_id], state.remaining)
         if gain == 0:
-            item = sorted(state.remaining)[0]
+            item = state.remaining[0]
         return [item]
 
 
@@ -181,6 +220,7 @@ class UnitDemandFullBudgetBidder(Strategy):
     def __init__(self, valuation: ValuationOracle) -> None:
         self.valuation = valuation
         self.won = False
+        self._ranking = _MarginalRanking(valuation)
 
     def bid(self, state: PublicState) -> Fraction:
         if self.won:
@@ -188,7 +228,7 @@ class UnitDemandFullBudgetBidder(Strategy):
         return state.budgets[self.agent_id]
 
     def pick(self, state: PublicState) -> Sequence[str]:
-        item, _ = _best_singleton(self.valuation, state.remaining)
+        item, _ = self._ranking.best(frozenset(), state.remaining)
         self.won = True
         return [item]
 
@@ -244,15 +284,16 @@ class GreedyMarginalBidder(Strategy):
 
     def __init__(self, valuation: ValuationOracle) -> None:
         self.valuation = valuation
+        self._ranking = _MarginalRanking(valuation)
 
     def bid(self, state: PublicState) -> Fraction:
-        _, top = _best_marginal(self.valuation, state.bundles[self.agent_id], state.remaining)
+        _, top = self._ranking.best(state.bundles[self.agent_id], state.remaining)
         return min(top, state.budgets[self.agent_id])
 
     def pick(self, state: PublicState) -> Sequence[str]:
-        item, gain = _best_marginal(self.valuation, state.bundles[self.agent_id], state.remaining)
+        item, gain = self._ranking.best(state.bundles[self.agent_id], state.remaining)
         if gain == 0:
-            item = sorted(state.remaining)[0]
+            item = state.remaining[0]
         return [item]
 
 

@@ -5,9 +5,11 @@ value queries (``value(bundle) -> Fraction``).  The structured classes below
 exist so that instances can be described compactly and serialized, but code
 that simulates agents must treat them as opaque oracles.
 
-All values are exact rationals.  Every oracle counts the number of value
-queries it has answered; the counter is not thread safe and is meant for
-single-run accounting.
+All values are exact rationals.  Every oracle counts the value queries it
+has answered (``query_count``, cache hits included) and, of those, the ones
+its cache could not answer (``miss_count``, each one evaluation of the set
+function); the counters are not thread safe and are meant for single-run
+accounting.
 """
 
 from __future__ import annotations
@@ -32,14 +34,17 @@ class ValuationOracle:
 
     def __init__(self) -> None:
         self.query_count = 0
+        self.miss_count = 0
         self._cache: dict[Bundle, Fraction] = {}
 
     def value(self, bundle: Iterable[str]) -> Fraction:
-        """Answer a value query.  Queries are counted even when served from cache."""
+        """Answer a value query.  Every query counts in ``query_count``; only
+        those the cache cannot answer count in ``miss_count``."""
         key = _as_bundle(bundle)
         self.query_count += 1
         hit = self._cache.get(key)
         if hit is None:
+            self.miss_count += 1
             hit = self._value(key)
             self._cache[key] = hit
         return hit

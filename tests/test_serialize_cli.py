@@ -317,6 +317,46 @@ def test_transcript_wrongly_typed_fields_are_parse_errors(path, value):
         transcript_from_dict(doc)
 
 
+def test_cli_shares_additive_values_list_is_input_error(tmp_path, capsys):
+    inst = make_instance(["e0", "e1"], [("a", 1, AdditiveValuation({"e0": 1, "e1": 2}))])
+    doc = instance_to_dict(inst)
+    doc["agents"][0]["valuation"]["values"] = []
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("shares", str(inst_path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'values' must be an object, not list" in err
+
+
+@pytest.mark.parametrize(
+    "valuation, key, value",
+    [
+        (AdditiveValuation({"e0": 1}), "values", []),
+        (UnitDemandValuation({"e0": 1}), "values", "1/1"),
+        (XOSValuation([{"e0": 1}]), "clauses", {"e0": "1/1"}),
+        (XOSValuation([{"e0": 1}]), "clauses", [["e0"]]),
+        (RowSubstitutesValuation([["e0"]], [1]), "rows", {"e0": 0}),
+        (RowSubstitutesValuation([["e0"]], [1]), "weights", "1/1"),
+        (RowSubstitutesValuation([["e0"]], [1]), "rows", ["e0"]),  # not the items "e" and "0"
+        (WeightedCoverageValuation({"u": 1}, {"e0": ["u"]}), "universe", ["u"]),
+        (WeightedCoverageValuation({"u": 1}, {"e0": ["u"]}), "covers", [["u"]]),
+        (WeightedCoverageValuation({"u1": 1}, {"e0": ["u1"]}), "covers", {"e0": "u1"}),
+        (TableValuation(["e0"], {frozenset(): 0, frozenset(["e0"]): 1}), "values", [0, 1]),
+        (TableValuation(["e0"], {frozenset(): 0, frozenset(["e0"]): 1}), "items", "e0"),
+        (AdditiveValuation({"e0": 1}), None, []),
+    ],
+)
+def test_valuation_wrongly_typed_fields_are_parse_errors(valuation, key, value):
+    doc = instance_to_dict(make_instance(["e0"], [("a", 1, valuation)]))
+    if key is None:
+        doc["agents"][0]["valuation"] = value
+    else:
+        doc["agents"][0]["valuation"][key] = value
+    with pytest.raises(ParseError, match="must be"):
+        instance_from_dict(doc)
+
+
 def test_cli_deterministic_output(tmp_path):
     paths = []
     for tag in ("one", "two"):

@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
-from bidfair.engine import GameConfig, TieBreak, run_game
+from hypothesis import given, settings, strategies as st
+
+from bidfair.engine import MODES, GameConfig, TieBreak, run_game
 from bidfair.model import make_instance
 from bidfair.shares import aps_exact, mms_exact
 from bidfair.strategies import (
@@ -19,8 +21,10 @@ from bidfair.strategies import (
 from bidfair.valuations import (
     AdditiveValuation,
     ScaledValuation,
+    TableValuation,
     UnitDemandValuation,
     WeightedCoverageValuation,
+    XOSValuation,
 )
 
 
@@ -103,6 +107,21 @@ def test_large_phase_bids_full_budget_and_exits_on_win():
     assert tr.rounds[0].items == ("big",)
     # paying the whole budget deactivates p; the rest goes to o at zero
     assert all(r.winner == "o" for r in tr.rounds[1:])
+
+
+def test_large_phase_pick_is_by_singleton_value_even_when_holding_items():
+    # at a spend cap of the whole budget, a budget-exhausting win leaves p
+    # active, so p can win again in the large phase with an item already held
+    weights = {"u1": 3, "u2": 3, "u3": 2}
+    covers = {"a": {"u1", "u2"}, "b": {"u1"}, "c": {"u3"}}
+    v = WeightedCoverageValuation(weights, covers)
+    b = Fraction(1, 2)
+    p = ProportionalBidder(v, b, 8, Fraction(1, 8))  # large: singleton value above 2
+    inst = make_instance(["a", "b", "c"], [("p", b, v), ("o", b, AdditiveValuation({}))])
+    config = GameConfig(mode="altruistic", rho=Fraction(1), tie=TieBreak("adversarial", target="o"))
+    _, tr = run_game(inst, {"p": p, "o": ZeroBidder()}, config)
+    # b adds nothing to a, yet is the larger single item; c is not large
+    assert [r.items for r in tr.rounds] == [("a",), ("b",), ("c",)]
 
 
 def test_bid_sequence_weakly_decreasing():
@@ -298,3 +317,200 @@ def test_game_query_counts_stay_polynomial():
         run_game(inst, strategies, GameConfig())
         spent = p.valuation.query_count - before
         assert spent <= 8 * (m + 2) * (m + 2)
+
+
+def test_game_query_counts_stay_within_one_ranking_per_bundle():
+    # the bidder ranks the remaining items once per bundle it holds, and
+    # once more to find the large items
+    for seed in range(40):
+        v, items = coverage(seed, m=8, universe=6)
+        m = len(items)
+        b = Fraction(1, 3)
+        share = aps_exact(v, b, items).value
+        p = ProportionalBidder(v, b, share)
+        inst = make_instance(
+            items,
+            [("p", b, v), ("o1", b, AdditiveValuation({})), ("o2", b, AdditiveValuation({}))],
+        )
+        strategies = {
+            "p": p,
+            "o1": ConstantBidder(Fraction(1, 16)),
+            "o2": ScriptedBidder([Fraction(1, 8)] * m),
+        }
+        before = p.valuation.query_count
+        _, tr = run_game(inst, strategies, GameConfig())
+        spent = p.valuation.query_count - before
+        wins = sum(1 for r in tr.rounds if r.winner == "p")
+        assert spent <= (wins + 3) * (m + 1), seed
+
+
+# -- the strategies against the full scan they replaced --------------------
+
+
+def _best_marginal(v, held, remaining):
+    """Rescan every remaining item: maximal marginal value, first on ties."""
+    best_item = None
+    best = Fraction(0)
+    base_value = v.value(held)
+    for item in sorted(remaining):
+        gain = v.value(held | {item}) - base_value
+        if best_item is None or gain > best:
+            best_item = item
+            best = gain
+    return best_item, best
+
+
+def _best_singleton(v, remaining):
+    best_item = None
+    best = Fraction(0)
+    for item in sorted(remaining):
+        val = v.value(frozenset([item]))
+        if best_item is None or val > best:
+            best_item = item
+            best = val
+    return best_item, best
+
+
+class ScanProportionalBidder(ProportionalBidder):
+    def _scan_large_phase(self, remaining):
+        if self.share == 0:
+            return False
+        threshold = 2 * self.rho * self.share
+        return any(self.valuation.value(frozenset([e])) > threshold for e in remaining)
+
+    def bid(self, state):
+        if self.share == 0:
+            return Fraction(0)
+        budget = state.budgets[self.agent_id]
+        if self._scan_large_phase(state.remaining):
+            return budget
+        held = state.bundles[self.agent_id]
+        _, top_marginal = _best_marginal(self.valuation, held, state.remaining)
+        formula = Fraction(1, 2) / self.rho * self.entitlement / self.share * top_marginal
+        if formula > budget:
+            if self.valuation.value(held) < self.rho * self.share:
+                self.budget_capped_early = True
+            return budget
+        return formula
+
+    def pick(self, state):
+        if self.share > 0 and self._scan_large_phase(state.remaining):
+            item, _ = _best_singleton(self.valuation, state.remaining)
+        else:
+            item, gain = _best_marginal(self.valuation, state.bundles[self.agent_id], state.remaining)
+            if gain == 0:
+                item = sorted(state.remaining)[0]
+        return [item]
+
+
+class ScanAltruisticBidder(AltruisticProportionalBidder):
+    def bid(self, state):
+        if self.share == 0:
+            return Fraction(0)
+        _, top_marginal = _best_marginal(self.valuation, state.bundles[self.agent_id], state.remaining)
+        return min(self.scale * top_marginal, state.budgets[self.agent_id])
+
+    def pick(self, state):
+        item, gain = _best_marginal(self.valuation, state.bundles[self.agent_id], state.remaining)
+        if gain == 0:
+            item = sorted(state.remaining)[0]
+        return [item]
+
+
+class ScanGreedyMarginalBidder(GreedyMarginalBidder):
+    def bid(self, state):
+        _, top = _best_marginal(self.valuation, state.bundles[self.agent_id], state.remaining)
+        return min(top, state.budgets[self.agent_id])
+
+    def pick(self, state):
+        item, gain = _best_marginal(self.valuation, state.bundles[self.agent_id], state.remaining)
+        if gain == 0:
+            item = sorted(state.remaining)[0]
+        return [item]
+
+
+class ScanUnitDemandBidder(UnitDemandFullBudgetBidder):
+    def pick(self, state):
+        item, _ = _best_singleton(self.valuation, state.remaining)
+        self.won = True
+        return [item]
+
+
+RANKED_AND_SCAN = {
+    "proportional": (ProportionalBidder, ScanProportionalBidder),
+    "altruistic": (AltruisticProportionalBidder, ScanAltruisticBidder),
+    "greedy": (GreedyMarginalBidder, ScanGreedyMarginalBidder),
+    "unit_demand": (UnitDemandFullBudgetBidder, ScanUnitDemandBidder),
+}
+
+small_ints = st.integers(0, 3)  # few distinct values, so many tied gains
+
+
+@st.composite
+def small_valuation(draw, items):
+    kind = draw(st.sampled_from(["additive", "coverage", "xos", "table"]))
+    if kind == "additive":
+        return AdditiveValuation({e: draw(small_ints) for e in items})
+    if kind == "coverage":
+        elements = [f"u{t}" for t in range(draw(st.integers(1, 4)))]
+        weights = {u: draw(st.integers(1, 3)) for u in elements}
+        covers = {e: draw(st.sets(st.sampled_from(elements), max_size=2)) for e in items}
+        return WeightedCoverageValuation(weights, covers)
+    if kind == "xos":
+        clauses = draw(st.lists(st.dictionaries(st.sampled_from(items), small_ints), min_size=1, max_size=3))
+        return XOSValuation(clauses)
+    # non-monotone, possibly nonzero on the empty bundle
+    m = len(items)
+    table = {
+        frozenset(items[j] for j in range(m) if mask >> j & 1): draw(st.integers(-2, 4))
+        for mask in range(1 << m)
+    }
+    return TableValuation(items, table)
+
+
+@st.composite
+def small_games(draw):
+    items = [f"e{j}" for j in range(draw(st.integers(1, 5)))]
+    n = draw(st.integers(1, 3))
+    ids = [f"a{i}" for i in range(n)]
+    mode = draw(st.sampled_from(MODES))
+    rho = draw(st.fractions(Fraction(1, 4), 1, max_denominator=4)) if mode == "altruistic" else None
+    if draw(st.booleans()):
+        tie = TieBreak("seeded", seed=draw(st.integers(0, 1000)))
+    else:
+        tie = TieBreak("adversarial", target=draw(st.sampled_from(ids)))
+    agents = []
+    for agent_id in ids:
+        v = draw(small_valuation(items))
+        kind = draw(st.sampled_from(sorted(RANKED_AND_SCAN) + ["constant"]))
+        share = draw(st.fractions(0, 6, max_denominator=3))
+        strategy_rho = draw(st.none() | st.fractions(Fraction(1, 8), 1, max_denominator=8))
+        agents.append((agent_id, v, kind, share, strategy_rho, draw(st.integers(0, 4))))
+    return items, agents, GameConfig(mode=mode, rho=rho, tie=tie)
+
+
+def play_small_game(game, scan):
+    items, agents, config = game
+    b = Fraction(1, len(agents))
+    strategies = {}
+    for agent_id, v, kind, share, strategy_rho, constant in agents:
+        if kind == "constant":
+            strategies[agent_id] = ConstantBidder(Fraction(constant, 4) * b)
+            continue
+        cls = RANKED_AND_SCAN[kind][scan]
+        if kind == "proportional":
+            strategies[agent_id] = cls(v, b, share, strategy_rho)
+        elif kind == "altruistic":
+            strategies[agent_id] = cls(v, b, share)
+        else:
+            strategies[agent_id] = cls(v)
+    inst = make_instance(items, [(agent_id, b, v) for agent_id, v, *_ in agents])
+    _, transcript = run_game(inst, strategies, config)
+    capped = {a: s.budget_capped_early for a, s in strategies.items() if isinstance(s, ProportionalBidder)}
+    return transcript, capped
+
+
+@settings(max_examples=300, deadline=None)
+@given(game=small_games())
+def test_ranked_strategies_play_the_full_scan_games(game):
+    assert play_small_game(game, scan=False) == play_small_game(game, scan=True)

@@ -112,6 +112,19 @@ def test_query_counter_counts_cached_queries():
     assert v.query_count == 2
 
 
+def test_miss_counter_counts_only_evaluations():
+    inner = AdditiveValuation({"e1": 1, "e2": 2})
+    v = truncate_valuation(inner, 2)
+    for bundle in ({"e1"}, {"e1"}, frozenset(["e1"]), {"e1", "e2"}, {"e2", "e1"}):
+        v.value(bundle)
+    assert (v.query_count, v.miss_count) == (5, 2)
+    # the inner oracle is asked only on the wrapper's misses, and misses once each
+    assert (inner.query_count, inner.miss_count) == (2, 2)
+    inner.value(set())
+    inner.value(set())
+    assert (inner.query_count, inner.miss_count) == (4, 3)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=5))
 def test_additive_and_unit_demand_are_always_submodular(values):
