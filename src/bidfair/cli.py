@@ -9,7 +9,7 @@ Subcommands:
   lpcert  build and decide the guarantee-bound inequality system
 
 Exit codes: 0 success / pass, 1 guarantee or verification failure,
-2 input error, 3 internal contract violation.
+2 input error, 3 internal error or contract violation.
 """
 
 from __future__ import annotations
@@ -475,6 +475,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, SizeGuardExceeded, SizeGuardSettingError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except Exception as exc:  # anything else is a bug, never a guarantee failure
+        sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
+        return EXIT_CONTRACT
 
 
 if __name__ == "__main__":

@@ -88,7 +88,7 @@ class PublicState:
     """Everything a strategy may observe when bidding or picking."""
 
     round: int
-    remaining: tuple[str, ...]
+    remaining: tuple[str, ...]  # ascending
     budgets: Mapping[str, Fraction]
     bundles: Mapping[str, frozenset[str]]
     active: Mapping[str, bool]

@@ -306,7 +306,7 @@ class XosSniperBidder(Strategy):
 
     def pick(self, state: PublicState) -> Sequence[str]:
         targets = self._targets(state)
-        return [targets[0] if targets else sorted(state.remaining)[0]]
+        return [targets[0] if targets else state.remaining[0]]
 
 
 def gen_xos_hard(n: int, k: int) -> ScriptedRun:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 from typing import Any, Mapping
 
 from .engine import GameConfig, Round, TieBreak, Transcript
@@ -102,7 +103,7 @@ def valuation_to_dict(v: ValuationOracle) -> dict:
         return {
             "kind": "table",
             "items": list(v.items),
-            "values": {",".join(sorted(k)): rational_str(x) for k, x in v.table.items()},
+            "values": sorted([sorted(k), rational_str(x)] for k, x in v.table.items()),
         }
     raise ParseError(f"cannot serialize valuation of type {type(v).__name__}")
 
@@ -148,12 +149,43 @@ def valuation_from_dict(doc: Mapping[str, Any]) -> ValuationOracle:
             {e: frozenset(us) for e, us in covers.items()},
         )
     if kind == "table":
-        table = {
-            frozenset(k.split(",")) if k else frozenset(): parse_rational(x)
-            for k, x in _typed(doc, "values", dict).items()
-        }
-        return TableValuation(_typed(doc, "items", list), table)
+        return _table_from_dict(doc)
     raise ParseError(f"unknown valuation kind {kind!r}")
+
+
+def _table_from_dict(doc: Mapping[str, Any]) -> TableValuation:
+    """A table's ``values`` are ``[items, value]`` pairs; an object keyed by
+    comma-joined item ids, as written before, is still read.  The table must
+    give exactly one value for every subset of its ``items``."""
+    items = _typed(doc, "items", list)
+    values = doc["values"]
+    if isinstance(values, dict):
+        entries = [(k.split(",") if k else [], x) for k, x in values.items()]
+    elif isinstance(values, list):
+        entries = _all_typed(values, list, "table entry")
+        if any(len(entry) != 2 for entry in entries):
+            raise ParseError("every table entry must be an [items, value] pair")
+        _all_typed((bundle for bundle, _ in entries), list, "table entry's items")
+    else:
+        raise ParseError(f"'values' must be a list, not {type(values).__name__}")
+    universe = frozenset(items)
+    table: dict[frozenset, Fraction] = {}
+    for bundle, x in entries:
+        key = frozenset(bundle)
+        if not key <= universe:
+            raise ParseError(f"table entry names items outside the table: {sorted(key - universe)}")
+        if key in table:
+            raise ParseError(f"table has two entries for {sorted(key)}")
+        table[key] = parse_rational(x)
+    if len(table) < 2 ** len(universe):
+        # at most len(table) subsets are present, so this stops soon
+        subsets = (
+            frozenset(c) for size in range(len(universe) + 1)
+            for c in combinations(sorted(universe), size)
+        )
+        missing = next(subset for subset in subsets if subset not in table)
+        raise ParseError(f"table valuation has no entry for {sorted(missing)}")
+    return TableValuation(items, table)
 
 
 def instance_to_dict(instance: Instance) -> dict:

@@ -92,7 +92,7 @@ class ZeroBidder(Strategy):
         return Fraction(0)
 
     def pick(self, state: PublicState) -> Sequence[str]:
-        return [sorted(state.remaining)[0]]
+        return [state.remaining[0]]
 
 
 class ProportionalBidder(Strategy):
@@ -258,7 +258,7 @@ class ScriptedBidder(Strategy):
         r = state.round - 1
         scripted = self.picks[r] if self.picks is not None and r < len(self.picks) else None
         if scripted is None:
-            return [sorted(state.remaining)[0]]
+            return [state.remaining[0]]
         items = [scripted] if isinstance(scripted, str) else list(scripted)
         missing = [e for e in items if e not in state.remaining]
         if missing:
@@ -276,7 +276,7 @@ class ConstantBidder(Strategy):
         return min(self.amount, state.budgets[self.agent_id])
 
     def pick(self, state: PublicState) -> Sequence[str]:
-        return [sorted(state.remaining)[0]]
+        return [state.remaining[0]]
 
 
 class GreedyMarginalBidder(Strategy):
@@ -309,5 +309,5 @@ class RandomBidder(Strategy):
         return fraction * state.budgets[self.agent_id]
 
     def pick(self, state: PublicState) -> Sequence[str]:
-        return [self.rng.choice(sorted(state.remaining))]
+        return [self.rng.choice(state.remaining)]
 

@@ -77,18 +77,33 @@ class UnitDemandValuation(ValuationOracle):
 
 
 class XOSValuation(ValuationOracle):
-    """Pointwise maximum of finitely many additive clauses."""
+    """Pointwise maximum of finitely many additive clauses.
+
+    v(S) = max(0, max over clauses c of the sum of c's weights on S).  Each
+    item is indexed to the (clause, weight) terms it appears in, so a query
+    costs one addition per term that the bundle's items carry, not one per
+    clause and item: a clause that meets no item of S sums to 0 and can
+    only tie the floor of 0.
+    """
 
     def __init__(self, clauses: Sequence[Mapping[str, Fraction | int]]) -> None:
         super().__init__()
         if not clauses:
             raise ValueError("need at least one additive clause")
         self.clauses = [{e: Fraction(x) for e, x in c.items()} for c in clauses]
+        self._terms: dict[str, list[tuple[int, Fraction]]] = {}
+        for i, clause in enumerate(self.clauses):
+            for e, weight in clause.items():
+                self._terms.setdefault(e, []).append((i, weight))
 
     def _value(self, bundle: Bundle) -> Fraction:
+        totals: dict[int, Fraction] = {}
+        for e in bundle:
+            for i, weight in self._terms.get(e, ()):
+                total = totals.get(i)
+                totals[i] = weight if total is None else total + weight
         best = Fraction(0)
-        for clause in self.clauses:
-            total = sum((clause.get(e, Fraction(0)) for e in bundle), Fraction(0))
+        for total in totals.values():
             if total > best:
                 best = total
         return best

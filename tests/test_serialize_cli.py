@@ -3,9 +3,12 @@
 import json
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bidfair import cli
 from bidfair.cli import main
 from bidfair.engine import GameConfig, TieBreak, run_game, verify_transcript
 from bidfair.model import make_instance
@@ -355,6 +358,96 @@ def test_valuation_wrongly_typed_fields_are_parse_errors(valuation, key, value):
         doc["agents"][0]["valuation"][key] = value
     with pytest.raises(ParseError, match="must be"):
         instance_from_dict(doc)
+
+
+@st.composite
+def _tables(draw):
+    # ids with commas, the empty id and ids that are prefixes of each other
+    items = draw(st.lists(st.text(alphabet=",ab", max_size=3), unique=True, max_size=3))
+    table = {
+        frozenset(c): draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+        for size in range(len(items) + 1)
+        for c in combinations(items, size)
+    }
+    return TableValuation(items, table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tables())
+def test_table_round_trips_any_item_ids(valuation):
+    inst = make_instance(valuation.items, [("a", 1, valuation)])
+    doc = instance_to_dict(inst)
+    back = instance_from_dict(loads(dumps(doc))).valuation("a")
+    assert back.items == valuation.items and back.table == valuation.table
+    assert dumps(instance_to_dict(make_instance(back.items, [("a", 1, back)]))) == dumps(doc)
+
+
+def test_table_values_written_as_item_lists():
+    v = TableValuation(["a,b", "c"], {frozenset(): 0, frozenset(["a,b"]): 1,
+                                      frozenset(["c"]): 2, frozenset(["a,b", "c"]): 3})
+    doc = instance_to_dict(make_instance(["a,b", "c"], [("x", 1, v)]))
+    assert doc["agents"][0]["valuation"]["values"] == [
+        [[], "0/1"], [["a,b"], "1/1"], [["a,b", "c"], "3/1"], [["c"], "2/1"]
+    ]
+    assert instance_from_dict(doc).valuation("x").table == v.table
+
+
+def test_table_still_reads_comma_joined_values():
+    doc = instance_to_dict(make_instance(["e0", "e1"], [("a", 1, AdditiveValuation({"e0": 1}))]))
+    doc["agents"][0]["valuation"] = {
+        "kind": "table",
+        "items": ["e0", "e1"],
+        "values": {"": "0/1", "e0": "1/2", "e1": "1/3", "e1,e0": "1/1"},
+    }
+    v = instance_from_dict(doc).valuation("a")
+    assert v.table == {frozenset(): 0, frozenset(["e0"]): Fraction(1, 2),
+                       frozenset(["e1"]): Fraction(1, 3), frozenset(["e0", "e1"]): 1}
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([[[], "0"], [["x"], "1"], [["x", "y"], "2"]], r"no entry for \['y'\]"),
+        ({"": "0", "x": "1", "y": "1"}, r"no entry for \['x', 'y'\]"),
+        ([[[], "0"], [["x"], "1"], [["y"], "1"], [["x", "y"], "2"], [["z"], "1"]],
+         r"outside the table: \['z'\]"),
+        ([[[], "0"], [["x"], "1"], [["y"], "1"], [["y", "x"], "2"], [["x", "y"], "2"]],
+         "two entries"),
+        ([[[], "0"], [["x"]], [["y"], "1"], [["x", "y"], "2"]], r"\[items, value\] pair"),
+        ([[[], "0"], ["x", "1"], [["y"], "1"], [["x", "y"], "2"]], "must be a list"),
+        ("0", "must be a list"),
+    ],
+)
+def test_incomplete_or_malformed_table_is_parse_error(values, message):
+    doc = instance_to_dict(make_instance(["x", "y"], [("a", 1, AdditiveValuation({}))]))
+    doc["agents"][0]["valuation"] = {"kind": "table", "items": ["x", "y"], "values": values}
+    with pytest.raises(ParseError, match=message):
+        instance_from_dict(doc)
+
+
+def test_cli_shares_table_missing_a_subset_is_input_error(tmp_path, capsys):
+    doc = instance_to_dict(make_instance(["x", "y"], [("a", 1, AdditiveValuation({}))]))
+    doc["agents"][0]["valuation"] = {
+        "kind": "table", "items": ["x", "y"], "values": [[[], "0"], [["x"], "1"], [["x", "y"], "2"]],
+    }
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(doc))
+    assert run_cli("shares", str(inst_path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "table valuation has no entry for ['y']" in err
+
+
+def test_cli_unexpected_error_is_internal_exit_3(tmp_path, capsys, monkeypatch):
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen", "random", "--seed", "1", "--agents", "2", "--items", "4", "-o", str(inst_path))
+
+    def broken(*args, **kwargs):
+        raise KeyError("no such bundle")
+
+    monkeypatch.setattr(cli, "aps_exact", broken)
+    capsys.readouterr()
+    assert run_cli("shares", str(inst_path)) == 3
+    assert capsys.readouterr().err == "error: internal: KeyError: 'no such bundle'\n"
 
 
 def test_cli_deterministic_output(tmp_path):

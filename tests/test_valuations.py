@@ -139,6 +139,42 @@ def test_xos_needs_a_clause():
         XOSValuation([])
 
 
+_XOS_ITEMS = ["a", "b", "c", "d"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(
+            st.sampled_from(_XOS_ITEMS),
+            st.fractions(min_value=-2, max_value=3, max_denominator=4),
+            max_size=len(_XOS_ITEMS),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(st.frozensets(st.sampled_from(_XOS_ITEMS + ["z"])), min_size=1, max_size=8),
+)
+def test_xos_value_is_the_best_clause_sum_or_zero(clauses, bundles):
+    # items shared by clauses, items in no clause ("z" never is), empty
+    # clauses, zero, negative and fractional weights, the empty bundle
+    v = XOSValuation(clauses)
+    for bundle in bundles + [frozenset()]:
+        expected = max(
+            [Fraction(0)] + [sum((c.get(e, 0) for e in bundle), Fraction(0)) for c in clauses]
+        )
+        got = v.value(bundle)
+        assert got == expected and type(got) is Fraction
+
+
+def test_xos_counters_over_a_fixed_query_sequence():
+    v = XOSValuation([{"a": 1, "b": 2}, {"b": 1, "c": 3}, {"d": -1}])
+    queries = [set(), {"a"}, {"a"}, frozenset(["a"]), {"a", "b"}, {"b", "a"},
+               {"z"}, {"c", "b"}, {"d"}, set(), {"c", "b"}]
+    assert [v.value(q) for q in queries] == [0, 1, 1, 1, 3, 3, 0, 4, 0, 0, 4]
+    assert (v.query_count, v.miss_count) == (11, 6)
+
+
 def test_table_valuation_missing_entry():
     v = TableValuation(["e1"], {frozenset(): 0})
     with pytest.raises(KeyError):
