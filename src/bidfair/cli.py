@@ -26,7 +26,7 @@ from .analysis import (
     guarantee_report,
 )
 from .engine import GameConfig, RuleViolation, TieBreak, check_transcript, run_game
-from .model import Instance
+from .model import AgentSpec, Instance
 from .shares import SizeGuardSettingError, aps_exact, aps_unit_demand, mms_exact
 from .strategies import (
     AltruisticProportionalBidder,
@@ -150,6 +150,13 @@ def cmd_shares(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _exact_share(kind: str, instance: Instance, spec: AgentSpec) -> Fraction:
+    """The agent's exact APS at its entitlement (``kind`` "aps") or its MMS over n blocks."""
+    if kind == "aps":
+        return aps_exact(spec.valuation, spec.entitlement, instance.items).value
+    return mms_exact(spec.valuation, len(instance.agents), instance.items).value
+
+
 # ---------------------------------------------------------------- play
 
 def _parse_strategy_spec(spec_text: str, instance: Instance, agent_id: str):
@@ -164,10 +171,8 @@ def _parse_strategy_spec(spec_text: str, instance: Instance, agent_id: str):
     spec = instance.agent(agent_id)
 
     def share_value(text: str) -> Fraction:
-        if text == "aps":
-            return aps_exact(spec.valuation, spec.entitlement, instance.items).value
-        if text == "mms":
-            return mms_exact(spec.valuation, len(instance.agents), instance.items).value
+        if text in ("aps", "mms"):
+            return _exact_share(text, instance, spec)
         return _parse_fraction(text)
 
     if name == "proportional":
@@ -252,12 +257,7 @@ def cmd_play(args: argparse.Namespace) -> int:
     guarantees = None
     failed = False
     if args.report_shares:
-        shares = {}
-        for spec in instance.agents:
-            if args.report_shares == "aps":
-                shares[spec.id] = aps_exact(spec.valuation, spec.entitlement, instance.items).value
-            else:
-                shares[spec.id] = mms_exact(spec.valuation, len(instance.agents), instance.items).value
+        shares = {spec.id: _exact_share(args.report_shares, instance, spec) for spec in instance.agents}
         target = _parse_fraction(args.target_rho) if args.target_rho else Fraction(0)
         report = guarantee_report(instance, allocation, shares, {a: target for a in shares})
         failed = not report.all_passed
@@ -284,12 +284,7 @@ def cmd_alloc(args: argparse.Namespace) -> int:
     epsilon = _parse_fraction(args.epsilon) if args.epsilon else default_epsilon(args.mode, instance)
     exact = None
     if args.check_exact:
-        exact = {}
-        for spec in instance.agents:
-            if args.mode == "aps":
-                exact[spec.id] = aps_exact(spec.valuation, spec.entitlement, instance.items).value
-            else:
-                exact[spec.id] = mms_exact(spec.valuation, len(instance.agents), instance.items).value
+        exact = {spec.id: _exact_share(args.mode, instance, spec) for spec in instance.agents}
     try:
         outcome = unconditional_allocate(
             instance, epsilon, mode=args.mode, exact_shares=exact

@@ -215,9 +215,16 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
             )
             for a in doc["agents"]
         )
-        return Instance(items=tuple(doc["items"]), agents=agents)
+        instance = Instance(items=tuple(doc["items"]), agents=agents)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad instance document: {exc}") from exc
+    for a in instance.agents:
+        # every other kind values an item it does not name at 0; a table cannot
+        if isinstance(a.valuation, TableValuation):
+            missing = sorted(instance.item_set.difference(a.valuation.items))
+            if missing:
+                raise ParseError(f"table valuation of agent {a.id!r} misses items {missing}")
+    return instance
 
 
 def config_to_dict(config: GameConfig) -> dict:

@@ -1,14 +1,18 @@
-"""Exact rational linear programming via two-phase tableau simplex.
+"""Exact linear programming by two-phase tableau simplex in fractions.Fraction.
 
-Solves   max/min c.x   subject to   A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
-with exact rational arithmetic: gmpy2.mpq when gmpy2 is installed (the optional
-``gmpy2`` extra), fractions.Fraction otherwise.  ``BACKEND`` names the one in use.
-Bland's rule is used throughout, so the solver terminates on every input.
+Solves   max c.x   subject to   A x <= b,  x >= 0.
+
+A row with b < 0 is negated and given an artificial column, and phase 1 drives
+the artificials to zero; when every b >= 0 the solver starts from the slack
+basis and skips phase 1.  The columns are the structural variables, then one
+slack per row, then one artificial per negated row, each in row order; Bland's
+rule picks the smallest eligible column, so the solver terminates on every
+input and the same input always takes the same pivots.
 
 Beyond optima, the solver reports row multipliers: ``duals`` at optimality and
 a ``farkas`` vector when the constraints are infeasible.  A farkas vector u
-satisfies u >= 0 on the inequality rows, sum_i u_i * row_i >= 0 componentwise
-over the (nonnegative) variables, and u.b < 0 - an explicit contradiction.
+satisfies u >= 0, sum_i u_i * row_i >= 0 componentwise over the (nonnegative)
+variables, and u.b < 0 - an explicit contradiction.
 """
 
 from __future__ import annotations
@@ -17,16 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-try:
-    from gmpy2 import mpq as _rat
-
-    BACKEND = "gmpy2.mpq"
-except ImportError:  # gmpy2 is optional; results are identical, pivots slower
-    _rat = Fraction
-    BACKEND = "fractions.Fraction"
-
-_ZERO = _rat(0)
-_ONE = _rat(1)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass
@@ -38,66 +34,43 @@ class LPResult:
     farkas: list[Fraction] | None = None
 
 
-def _to_fraction(value) -> Fraction:
-    return Fraction(value.numerator, value.denominator)
-
-
 class _Tableau:
     """Dense simplex tableau with an explicit identity column per row."""
 
-    def __init__(self, a_ub, b_ub, a_eq, b_eq, n_vars: int):
-        rows = []
-        rhs = []
+    def __init__(self, a_ub, b_ub, n_vars: int):
+        rhs = [Fraction(b) for b in b_ub]
+        if len(a_ub) != len(rhs):
+            raise ValueError("row count mismatch")
+        self.m = len(rhs)
+        first_artificial = n_vars + self.m
+        self.artificials = range(first_artificial, first_artificial + sum(b < 0 for b in rhs))
+        self.rhs_col = self.artificials.stop
+        self.width = self.rhs_col + 1
         self.signs = []  # sign applied to each input row during normalization
-        self.is_eq = [False] * len(b_ub) + [True] * len(b_eq)
-        for a, b in list(zip(a_ub, b_ub)) + list(zip(a_eq, b_eq)):
-            a = [_rat(v) for v in a]
-            b = _rat(b)
+        self.identity_col = []
+        self.rows = []
+        artificials = iter(self.artificials)
+        for i, (a, b) in enumerate(zip(a_ub, rhs)):
+            a = [Fraction(v) for v in a]
             if len(a) != n_vars:
                 raise ValueError("row length mismatch")
-            if b < 0:
-                a = [-v for v in a]
+            row = [_ZERO] * self.width
+            if b < 0:  # negate the row; its artificial starts in the basis
+                row[:n_vars] = [-v for v in a]
+                row[n_vars + i] = -_ONE
+                col = next(artificials)
+                row[col] = _ONE
                 b = -b
                 self.signs.append(-1)
             else:
+                row[:n_vars] = a
+                col = n_vars + i
+                row[col] = _ONE
                 self.signs.append(1)
-            rows.append(a)
-            rhs.append(b)
-        self.m = len(rows)
-        self.n = n_vars
-
-        # column layout: structural | slacks (ub rows) | artificials | rhs
-        self.slack_col = {}
-        col = n_vars
-        n_ub = len(b_ub)
-        for i in range(n_ub):
-            self.slack_col[i] = col
-            col += 1
-        self.art_col = {}
-        self.identity_col = {}
-        for i in range(self.m):
-            slack_ok = (not self.is_eq[i]) and self.signs[i] == 1
-            if slack_ok:
-                self.identity_col[i] = self.slack_col[i]
-            else:
-                self.art_col[i] = col
-                self.identity_col[i] = col
-                col += 1
-        self.width = col + 1  # + rhs
-        self.rhs_col = col
-
-        self.rows = []
-        for i in range(self.m):
-            row = [_ZERO] * self.width
-            for j, v in enumerate(rows[i]):
-                row[j] = v
-            if i in self.slack_col:
-                row[self.slack_col[i]] = _rat(self.signs[i])
-            if i in self.art_col:
-                row[self.art_col[i]] = _ONE
-            row[self.rhs_col] = rhs[i]
+            row[self.rhs_col] = b
             self.rows.append(row)
-        self.basis = [self.identity_col[i] for i in range(self.m)]
+            self.identity_col.append(col)
+        self.basis = list(self.identity_col)
 
     def _pivot(self, row: int, col: int) -> None:
         piv = self.rows[row][col]
@@ -140,7 +113,7 @@ class _Tableau:
         """Install objective row for max sum costs[j] * var_j (reduced costs)."""
         obj = [_ZERO] * self.width
         for j, c in costs.items():
-            obj[j] = -_rat(c)
+            obj[j] = -Fraction(c)
         self.rows = self.rows[: self.m] + [obj]
         # price out basic variables so reduced costs of the basis are zero
         for i in range(self.m):
@@ -155,8 +128,8 @@ class _Tableau:
         duals = []
         for i in range(self.m):
             col = self.identity_col[i]
-            y = self.rows[self.m][col] + _rat(identity_costs.get(col, 0))
-            duals.append(_to_fraction(_rat(self.signs[i]) * y))
+            y = self.rows[self.m][col] + identity_costs.get(col, 0)
+            duals.append(self.signs[i] * y)
         return duals
 
 
@@ -164,80 +137,64 @@ def solve_lp(
     objective: Sequence,
     a_ub: Sequence[Sequence] = (),
     b_ub: Sequence = (),
-    a_eq: Sequence[Sequence] = (),
-    b_eq: Sequence = (),
-    maximize: bool = True,
 ) -> LPResult:
+    """Maximise objective.x subject to a_ub x <= b_ub and x >= 0."""
     n_vars = len(objective)
-    tab = _Tableau(a_ub, b_ub, a_eq, b_eq, n_vars)
-    structural_and_slack = list(range(n_vars)) + [tab.slack_col[i] for i in tab.slack_col]
+    tab = _Tableau(a_ub, b_ub, n_vars)
+    structural_and_slack = range(n_vars + tab.m)
 
     # phase 1: drive artificials to zero
-    if tab.art_col:
-        phase1_costs = {col: -1 for col in tab.art_col.values()}
+    if tab.artificials:
+        phase1_costs = dict.fromkeys(tab.artificials, -1)
         tab.set_objective(phase1_costs)
         status = tab._run(structural_and_slack)
         assert status == "optimal"  # phase-1 objective is bounded by 0
         infeas = -tab.rows[tab.m][tab.rhs_col]
         if infeas > 0:
-            identity_costs = {col: -1 for col in tab.art_col.values()}
-            farkas = tab.row_duals(identity_costs)
-            return LPResult(status="infeasible", farkas=farkas)
+            return LPResult(status="infeasible", farkas=tab.row_duals(phase1_costs))
         # pivot basic artificials out where possible
         for i in range(tab.m):
-            if tab.basis[i] in tab.art_col.values():
+            if tab.basis[i] in tab.artificials:
                 for j in structural_and_slack:
                     if tab.rows[i][j] != 0:
                         tab._pivot(i, j)
                         break
 
     # phase 2
-    sign = 1 if maximize else -1
-    tab.set_objective({j: sign * _rat(objective[j]) for j in range(n_vars)})
+    tab.set_objective(dict(enumerate(objective)))
     status = tab._run(structural_and_slack)
     if status == "unbounded":
         return LPResult(status="unbounded")
-    x = [Fraction(0)] * n_vars
+    x = [_ZERO] * n_vars
     for i, col in enumerate(tab.basis):
         if col < n_vars:
-            x[col] = _to_fraction(tab.rows[i][tab.rhs_col])
-    value = _to_fraction(tab.rows[tab.m][tab.rhs_col])
-    duals = tab.row_duals({})
-    if not maximize:
-        value = -value
-        duals = [-d for d in duals]
-    return LPResult(status="optimal", x=x, objective=value, duals=duals)
+            x[col] = tab.rows[i][tab.rhs_col]
+    value = tab.rows[tab.m][tab.rhs_col]
+    return LPResult(status="optimal", x=x, objective=value, duals=tab.row_duals({}))
 
 
 def feasible_point(
     n_vars: int,
     a_ub: Sequence[Sequence] = (),
     b_ub: Sequence = (),
-    a_eq: Sequence[Sequence] = (),
-    b_eq: Sequence = (),
 ) -> LPResult:
-    """Phase-1 style feasibility check for A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
+    """Phase-1 style feasibility check for a_ub x <= b_ub, x >= 0.
 
     Public entry point that the package itself does not call; tests and
     perfbench/tracer.py look it up by name.
     """
-    return solve_lp([0] * n_vars, a_ub, b_ub, a_eq, b_eq)
+    return solve_lp([0] * n_vars, a_ub, b_ub)
 
 
 def verify_farkas(
     farkas: Sequence[Fraction],
     a_ub: Sequence[Sequence] = (),
     b_ub: Sequence = (),
-    a_eq: Sequence[Sequence] = (),
-    b_eq: Sequence = (),
 ) -> bool:
     """Check a claimed infeasibility certificate by direct substitution."""
-    rows = [list(map(Fraction, r)) for r in a_ub] + [list(map(Fraction, r)) for r in a_eq]
-    rhs = [Fraction(v) for v in b_ub] + [Fraction(v) for v in b_eq]
-    if len(farkas) != len(rows):
-        return False
-    n_ub = len(b_ub)
-    if any(u < 0 for u in farkas[:n_ub]):
+    rows = [list(map(Fraction, r)) for r in a_ub]
+    rhs = [Fraction(v) for v in b_ub]
+    if len(farkas) != len(rows) or any(u < 0 for u in farkas):
         return False
     n_vars = len(rows[0]) if rows else 0
     combined = [

@@ -71,6 +71,12 @@ class _MarginalRanking:
             return None, Fraction(0)
         return items[i], self._values[i] - self.base
 
+    def pick(self, held: frozenset[str], remaining: Sequence[str]) -> list[str]:
+        """The best item over ``held``, or the first remaining item when the
+        best one adds nothing: the pick of every marginal-value strategy."""
+        item, gain = self.best(held, remaining)
+        return [remaining[0] if gain == 0 else item]
+
     def _rank(self, held: frozenset[str], remaining: Sequence[str]) -> None:
         v = self.valuation
         values = [v.value(held | {e}) for e in remaining]
@@ -166,11 +172,8 @@ class ProportionalBidder(Strategy):
         if self._in_large_phase(state.remaining):
             # the most valuable single item: the ranking over the empty bundle
             item, _ = self._ranking.best(frozenset(), state.remaining)
-        else:
-            item, gain = self._ranking.best(state.bundles[self.agent_id], state.remaining)
-            if gain == 0:
-                item = state.remaining[0]
-        return [item]
+            return [item]
+        return self._ranking.pick(state.bundles[self.agent_id], state.remaining)
 
 
 class AltruisticProportionalBidder(Strategy):
@@ -208,10 +211,7 @@ class AltruisticProportionalBidder(Strategy):
         return min(self.scale * top_marginal, budget)
 
     def pick(self, state: PublicState) -> Sequence[str]:
-        item, gain = self._ranking.best(state.bundles[self.agent_id], state.remaining)
-        if gain == 0:
-            item = state.remaining[0]
-        return [item]
+        return self._ranking.pick(state.bundles[self.agent_id], state.remaining)
 
 
 class UnitDemandFullBudgetBidder(Strategy):
@@ -291,10 +291,7 @@ class GreedyMarginalBidder(Strategy):
         return min(top, state.budgets[self.agent_id])
 
     def pick(self, state: PublicState) -> Sequence[str]:
-        item, gain = self._ranking.best(state.bundles[self.agent_id], state.remaining)
-        if gain == 0:
-            item = state.remaining[0]
-        return [item]
+        return self._ranking.pick(state.bundles[self.agent_id], state.remaining)
 
 
 class RandomBidder(Strategy):

@@ -437,6 +437,19 @@ def test_cli_shares_table_missing_a_subset_is_input_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "table valuation has no entry for ['y']" in err
 
 
+def test_cli_table_not_covering_the_instance_is_input_error(tmp_path, capsys):
+    doc = instance_to_dict(make_instance(["x", "y"], [("a", 1, AdditiveValuation({}))]))
+    doc["agents"][0]["valuation"] = {
+        "kind": "table", "items": ["x"], "values": [[[], "0"], [["x"], "1"]],
+    }
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(doc))
+    for command in ("shares", "play"):
+        assert run_cli(command, str(inst_path)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "table valuation of agent 'a' misses items ['y']" in err
+
+
 def test_cli_unexpected_error_is_internal_exit_3(tmp_path, capsys, monkeypatch):
     inst_path = tmp_path / "inst.json"
     run_cli("gen", "random", "--seed", "1", "--agents", "2", "--items", "4", "-o", str(inst_path))

@@ -206,9 +206,8 @@ def aps_equality_row(v, entitlement, items):
     def feasible(z):
         masks = [mask for mask in range(len(table)) if table[mask] >= z]
         a_ub = [[mask >> j & 1 for mask in masks] for j in range(m)]
-        result = solve_lp(
-            [0] * len(masks), a_ub=a_ub, b_ub=[entitlement] * m, a_eq=[[1] * len(masks)], b_eq=[1]
-        )
+        a_ub += [[1] * len(masks), [-1] * len(masks)]  # total weight exactly 1
+        result = solve_lp([0] * len(masks), a_ub=a_ub, b_ub=[entitlement] * m + [1, -1])
         return result.status == "optimal"
 
     lo, hi = 0, len(candidates) - 1  # the smallest value is at most v(empty), hence feasible
