@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import negatives, serialize
 from .analysis import (
@@ -159,7 +160,12 @@ def _exact_share(kind: str, instance: Instance, spec: AgentSpec) -> Fraction:
 
 # ---------------------------------------------------------------- play
 
-def _parse_strategy_spec(spec_text: str, instance: Instance, agent_id: str):
+def _parse_strategy_spec(
+    spec_text: str,
+    instance: Instance,
+    agent_id: str,
+    exact_share: Callable[[str, str], Fraction],
+):
     name, _, params_text = spec_text.partition(":")
     params: dict[str, str] = {}
     if params_text:
@@ -172,7 +178,7 @@ def _parse_strategy_spec(spec_text: str, instance: Instance, agent_id: str):
 
     def share_value(text: str) -> Fraction:
         if text in ("aps", "mms"):
-            return _exact_share(text, instance, spec)
+            return exact_share(text, agent_id)
         return _parse_fraction(text)
 
     if name == "proportional":
@@ -248,16 +254,24 @@ def cmd_play(args: argparse.Namespace) -> int:
         if agent_id not in instance.agent_ids:
             raise InputError(f"no agent {agent_id!r} in this instance")
         assigned[agent_id] = spec_text
+    known: dict[tuple[str, str], Fraction] = {}
+
+    def exact_share(kind: str, agent_id: str) -> Fraction:
+        """``_exact_share``, computed at most once per (kind, agent) in this run."""
+        if (kind, agent_id) not in known:
+            known[kind, agent_id] = _exact_share(kind, instance, instance.agent(agent_id))
+        return known[kind, agent_id]
+
     strategies = {}
     for agent_id in instance.agent_ids:
         spec_text = assigned.get(agent_id, args.default_strategy)
-        strategies[agent_id] = _parse_strategy_spec(spec_text, instance, agent_id)
+        strategies[agent_id] = _parse_strategy_spec(spec_text, instance, agent_id, exact_share)
     allocation, transcript = run_game(instance, strategies, config)
 
     guarantees = None
     failed = False
     if args.report_shares:
-        shares = {spec.id: _exact_share(args.report_shares, instance, spec) for spec in instance.agents}
+        shares = {a: exact_share(args.report_shares, a) for a in instance.agent_ids}
         target = _parse_fraction(args.target_rho) if args.target_rho else Fraction(0)
         report = guarantee_report(instance, allocation, shares, {a: target for a in shares})
         failed = not report.all_passed

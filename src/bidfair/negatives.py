@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .engine import GameConfig, PublicState, Strategy, TieBreak, Transcript, run_game
 from .model import Allocation, AgentSpec, Instance
@@ -88,69 +89,74 @@ class ScriptedRun:
         return run_game(self.instance, strategies, self.config)
 
 
-def _matrix_ids(rows: Sequence[int], n_cols: int) -> dict[int, list[str]]:
-    return {i: [f"r{i:02d}c{j:03d}" for j in range(1, n_cols + 1)] for i in rows}
+def _matrix_ids(rows: Iterable[int], n_cols: int) -> list[list[str]]:
+    return [[f"r{i:02d}c{j:03d}" for j in range(1, n_cols + 1)] for i in rows]
 
 
-def _staged_run(
-    k: int,
-    row_values: list[Fraction],
-    top_row_value: Fraction | None,
-) -> tuple[Instance, dict, int, list[int], Fraction]:
-    """Common layout for the staged negatives: n agents, substitute rows."""
+def _desk_sylvester(k: int) -> list[int]:
+    if not (1 <= k <= 4):
+        raise ValueError("k must be between 1 and 4 at desk scale")
+    return sylvester(k)
+
+
+def _staged_negative(
+    name: str, k: int, row_values: list[Fraction], top_row: bool, capped: bool
+) -> ScriptedRun:
+    """The staged layout shared by the three Sylvester-row constructions.
+
+    n = q_{k+1} - 1 agents with entitlement 1/n; the designated agent values
+    rows of n substitutes at ``row_values`` (under one extra row of value-1
+    items when ``top_row``), and its share is 1 plus the first k row values.
+    For each stage i a squad of n/q_i opponents follows, each bidding
+    ``row_values[i-1]`` times b/share (spend-capped game, ``capped``) or b/2
+    (standard game) for q_i rounds and clearing row i in column order.  With
+    a top row the designated agent wins round 1, so the squads start in round
+    2; otherwise in round 1.
+    """
     qs = sylvester(k)
     n = math.prod(qs[:k])
     assert n == qs[k] - 1
-    assert sum(n // q for q in qs[:k]) == n - 1  # opponents exactly suffice
-
-    if top_row_value is not None:
-        row_ids = _matrix_ids(range(0, k + 1), n)
-        weights = [top_row_value] + row_values
-        rows = [row_ids[i] for i in range(0, k + 1)]
-    else:
-        row_ids = _matrix_ids(range(1, len(row_values) + 1), n)
-        weights = row_values
-        rows = [row_ids[i] for i in range(1, len(row_values) + 1)]
-    valuation = RowSubstitutesValuation(rows, weights)
-    items = [e for row in rows for e in row]
-
+    assert sum(n // q for q in qs[:k]) == n - 1  # the squads exactly suffice
+    first_row = 0 if top_row else 1
+    rows = _matrix_ids(range(first_row, len(row_values) + 1), n)
+    valuation = RowSubstitutesValuation(rows, [Fraction(1)] * top_row + row_values)
     b = Fraction(1, n)
+    share = 1 + sum(row_values[:k], Fraction(0))
+    rho = 1 / share
+    unit = b / share if capped else b / 2
+    tie = TieBreak(policy="adversarial", target=P_ID)
+    factories: dict[str, Callable[[], Strategy]]
+    if capped:
+        config = GameConfig(mode="altruistic", rho=rho, tie=tie)
+        factories = {P_ID: partial(AltruisticProportionalBidder, valuation, b, share)}
+    else:
+        config = GameConfig(mode="standard", tie=tie)
+        factories = {P_ID: partial(ProportionalBidder, valuation, b, share, rho)}
+
     agents = [AgentSpec(P_ID, b, valuation)]
-    opponents: list[tuple[str, int]] = []  # (agent id, stage index i)
-    for i, q in enumerate(qs[:k], start=1):
-        for t in range(1, n // q + 1):
-            agent_id = f"adv{i:02d}_{t:03d}"
-            agents.append(AgentSpec(agent_id, b, AdditiveValuation({})))
-            opponents.append((agent_id, i))
-    instance = Instance(items=tuple(items), agents=tuple(agents))
-    return instance, row_ids, n, qs, b
-
-
-def _stage_scripts(
-    row_ids: dict[int, list[str]],
-    qs: list[int],
-    k: int,
-    n: int,
-    stage_bid: Callable[[int], Fraction],
-    first_round: int,
-) -> dict[str, tuple[list[Fraction], list[str | None]]]:
-    """Per-opponent bid/pick scripts clearing rows 1..k in column order."""
-    total_rounds = first_round - 1 + k * n
-    scripts: dict[str, tuple[list[Fraction], list[str | None]]] = {}
-    rnd = first_round
-    for i in range(1, k + 1):
-        q = qs[i - 1]
-        for t in range(1, n // q + 1):
-            agent_id = f"adv{i:02d}_{t:03d}"
-            bids: list[Fraction] = [Fraction(0)] * total_rounds
+    total_rounds = top_row + k * n
+    rnd = top_row  # index of the next scripted round
+    for i, (q, value, row) in enumerate(zip(qs[:k], row_values, rows[top_row:]), start=1):
+        for t in range(n // q):
+            bids = [Fraction(0)] * total_rounds
             picks: list[str | None] = [None] * total_rounds
-            for step in range(q):
-                col = (t - 1) * q + step
-                bids[rnd - 1] = stage_bid(i)
-                picks[rnd - 1] = row_ids[i][col]
+            for col in range(t * q, (t + 1) * q):
+                bids[rnd], picks[rnd] = unit * value, row[col]
                 rnd += 1
-            scripts[agent_id] = (bids, picks)
-    return scripts
+            agent_id = f"adv{i:02d}_{t + 1:03d}"
+            agents.append(AgentSpec(agent_id, b, AdditiveValuation({})))
+            factories[agent_id] = partial(ScriptedBidder, bids, picks)
+    return ScriptedRun(
+        name=f"{name}_negative_k{k}",
+        instance=Instance(items=tuple(e for row in rows for e in row), agents=tuple(agents)),
+        agent=P_ID,
+        config=config,
+        strategy_factories=factories,
+        expected_value=Fraction(1),
+        share_value=share,
+        share_kind="mms",
+        expected_ratio=rho,
+    )
 
 
 def gen_altruistic_negative(k: int) -> ScriptedRun:
@@ -162,74 +168,18 @@ def gen_altruistic_negative(k: int) -> ScriptedRun:
     (q_i items each), and drops out after passing the spend cap.  She ends
     with the value-1 row only: value 1 against a share of 1 + sum 1/(q_i-1).
     """
-    if not (1 <= k <= 4):
-        raise ValueError("k must be between 1 and 4 at desk scale")
-    qs = sylvester(k)
+    qs = _desk_sylvester(k)
     row_values = [Fraction(1, q - 1) for q in qs[:k]]
-    instance, row_ids, n, qs, b = _staged_run(k, row_values, Fraction(1))
-    share = 1 + sum(row_values, Fraction(0))
-    rho = 1 / share
-    scale = b / share
-
-    scripts = _stage_scripts(
-        row_ids, qs, k, n, lambda i: scale * Fraction(1, qs[i - 1] - 1), first_round=2
-    )
-    factories: dict[str, Callable[[], Strategy]] = {
-        P_ID: lambda: AltruisticProportionalBidder(
-            instance.valuation(P_ID), b, share
-        )
-    }
-    for agent_id, (bids, picks) in scripts.items():
-        factories[agent_id] = (lambda bb, pp: (lambda: ScriptedBidder(bb, pp)))(bids, picks)
-
-    config = GameConfig(
-        mode="altruistic", rho=rho, tie=TieBreak(policy="adversarial", target=P_ID)
-    )
-    return ScriptedRun(
-        name=f"altruistic_negative_k{k}",
-        instance=instance,
-        agent=P_ID,
-        config=config,
-        strategy_factories=factories,
-        expected_value=Fraction(1),
-        share_value=share,
-        share_kind="mms",
-        expected_ratio=rho,
-    )
+    return _staged_negative("altruistic", k, row_values, top_row=True, capped=True)
 
 
 def gen_original_negative(k: int) -> ScriptedRun:
     """Standard-game analogue: row values 2/q_i, share 3 - 2/(q_{k+1} - 1)."""
-    if not (1 <= k <= 4):
-        raise ValueError("k must be between 1 and 4 at desk scale")
-    qs = sylvester(k)
+    qs = _desk_sylvester(k)
     row_values = [Fraction(2, q) for q in qs[:k]]
-    instance, row_ids, n, qs, b = _staged_run(k, row_values, Fraction(1))
-    share = 3 - Fraction(2, qs[k] - 1)
-    assert share == 1 + sum(row_values, Fraction(0))
-    rho = 1 / share
-
-    scripts = _stage_scripts(
-        row_ids, qs, k, n, lambda i: b / qs[i - 1], first_round=2
-    )
-    factories: dict[str, Callable[[], Strategy]] = {
-        P_ID: lambda: ProportionalBidder(instance.valuation(P_ID), b, share, rho)
-    }
-    for agent_id, (bids, picks) in scripts.items():
-        factories[agent_id] = (lambda bb, pp: (lambda: ScriptedBidder(bb, pp)))(bids, picks)
-
-    config = GameConfig(mode="standard", tie=TieBreak(policy="adversarial", target=P_ID))
-    return ScriptedRun(
-        name=f"original_negative_k{k}",
-        instance=instance,
-        agent=P_ID,
-        config=config,
-        strategy_factories=factories,
-        expected_value=Fraction(1),
-        share_value=share,
-        share_kind="mms",
-        expected_ratio=rho,
-    )
+    run = _staged_negative("original", k, row_values, top_row=True, capped=False)
+    assert run.share_value == 3 - Fraction(2, qs[k] - 1)
+    return run
 
 
 def gen_modified_negative(k: int) -> ScriptedRun:
@@ -240,41 +190,10 @@ def gen_modified_negative(k: int) -> ScriptedRun:
     (items in different columns are substitutes, so the column she draws
     from is irrelevant) for a final value of exactly 1.
     """
-    if not (1 <= k <= 4):
-        raise ValueError("k must be between 1 and 4 at desk scale")
-    qs = sylvester(k)
+    qs = _desk_sylvester(k)
     tail = qs[k - 1] - 1
     row_values = [Fraction(1, q - 1) for q in qs[:k]] + [Fraction(1, tail)] * tail
-    instance, row_ids, n, qs, b = _staged_run(k, row_values, None)
-    share = 1 + sum(Fraction(1, q - 1) for q in qs[:k])
-    rho = 1 / share
-    scale = b / share
-
-    scripts = _stage_scripts(
-        row_ids, qs, k, n, lambda i: scale * Fraction(1, qs[i - 1] - 1), first_round=1
-    )
-    factories: dict[str, Callable[[], Strategy]] = {
-        P_ID: lambda: AltruisticProportionalBidder(
-            instance.valuation(P_ID), b, share
-        )
-    }
-    for agent_id, (bids, picks) in scripts.items():
-        factories[agent_id] = (lambda bb, pp: (lambda: ScriptedBidder(bb, pp)))(bids, picks)
-
-    config = GameConfig(
-        mode="altruistic", rho=rho, tie=TieBreak(policy="adversarial", target=P_ID)
-    )
-    return ScriptedRun(
-        name=f"modified_negative_k{k}",
-        instance=instance,
-        agent=P_ID,
-        config=config,
-        strategy_factories=factories,
-        expected_value=Fraction(1),
-        share_value=share,
-        share_kind="mms",
-        expected_ratio=rho,
-    )
+    return _staged_negative("modified", k, row_values, top_row=False, capped=True)
 
 
 class XosSniperBidder(Strategy):
@@ -322,28 +241,25 @@ def gen_xos_hard(n: int, k: int) -> ScriptedRun:
         raise ValueError("need n >= 4k^2 agents")
     if n % 2:
         raise ValueError("need an even number of agents")
-    row_ids = _matrix_ids(range(1, k + 1), n)
-    items = [e for i in range(1, k + 1) for e in row_ids[i]]
-    column_of = {e: j for i in range(1, k + 1) for j, e in enumerate(row_ids[i], start=1)}
-    clauses = []
-    for j in range(1, n + 1):
-        clauses.append({e: Fraction(1) for e, col in column_of.items() if col == j})
-    valuation = XOSValuation(clauses)
+    rows = _matrix_ids(range(1, k + 1), n)
+    items = [e for row in rows for e in row]
+    column_of = {e: j for row in rows for j, e in enumerate(row, start=1)}
+    valuation = XOSValuation([{row[j]: Fraction(1) for row in rows} for j in range(n)])
 
     b = Fraction(1, n)
     agents = [AgentSpec(P_ID, b, valuation)]
     factories: dict[str, Callable[[], Strategy]] = {
-        P_ID: lambda: ProportionalBidder(valuation, b, Fraction(k))
+        P_ID: partial(ProportionalBidder, valuation, b, Fraction(k))
     }
     constant = Fraction(1, 2 * n * k)
     for idx in range(n // 2):
         agent_id = f"t1_{idx:03d}"
         agents.append(AgentSpec(agent_id, b, AdditiveValuation({})))
-        factories[agent_id] = (lambda c: (lambda: ConstantBidder(c)))(constant)
+        factories[agent_id] = partial(ConstantBidder, constant)
     for idx in range(n // 2 - 1):
         agent_id = f"t2_{idx:03d}"
         agents.append(AgentSpec(agent_id, b, AdditiveValuation({})))
-        factories[agent_id] = lambda: XosSniperBidder(P_ID, column_of)
+        factories[agent_id] = partial(XosSniperBidder, P_ID, column_of)
 
     instance = Instance(items=tuple(items), agents=tuple(agents))
     config = GameConfig(mode="standard", tie=TieBreak(policy="adversarial", target=P_ID))

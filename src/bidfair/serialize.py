@@ -63,6 +63,8 @@ def loads(text: str) -> dict:
 
 
 def _expect(doc: Mapping[str, Any], fmt: str) -> None:
+    if not isinstance(doc, dict):
+        raise ParseError(f"expected a {fmt!r} object, found {type(doc).__name__}")
     if doc.get("format") != fmt:
         raise ParseError(f"expected format {fmt!r}, found {doc.get('format')!r}")
     if doc.get("version") != VERSION:
@@ -109,6 +111,8 @@ def valuation_to_dict(v: ValuationOracle) -> dict:
 
 
 def _typed(doc: Mapping[str, Any], key: str, kind: type) -> Any:
+    if key not in doc:
+        raise ParseError(f"missing {key!r}")
     value = doc[key]
     if not isinstance(value, kind):
         expected = "an object" if kind is dict else "a list"
@@ -213,9 +217,9 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
                 parse_rational(a["entitlement"]),
                 valuation_from_dict(_typed(a, "valuation", dict)),
             )
-            for a in doc["agents"]
+            for a in _typed(doc, "agents", list)
         )
-        instance = Instance(items=tuple(doc["items"]), agents=agents)
+        instance = Instance(items=tuple(_typed(doc, "items", list)), agents=agents)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad instance document: {exc}") from exc
     for a in instance.agents:
@@ -244,7 +248,7 @@ def config_to_dict(config: GameConfig) -> dict:
 
 
 def config_from_dict(doc: Mapping[str, Any]) -> GameConfig:
-    tie_doc = doc.get("tie", {})
+    tie_doc = _typed(doc, "tie", dict) if "tie" in doc else {}
     tie = TieBreak(
         policy=tie_doc.get("policy", "lexicographic"),
         seed=tie_doc.get("seed"),
@@ -294,13 +298,14 @@ def transcript_from_dict(doc: Mapping[str, Any]) -> Transcript:
             )
             for r in _typed(doc, "rounds", list)
         )
+        allocation = _typed(doc, "allocation", dict)
         return Transcript(
-            config=config_from_dict(doc["config"]),
+            config=config_from_dict(_typed(doc, "config", dict)),
             rounds=rounds,
-            allocation={a: frozenset(b) for a, b in doc["allocation"].items()},
-            agent_ids=tuple(doc["agent_ids"]),
-            unallocated=tuple(doc["unallocated"]),
-            violations=tuple(doc["violations"]),
+            allocation={a: frozenset(_typed(allocation, a, list)) for a in allocation},
+            agent_ids=tuple(_typed(doc, "agent_ids", list)),
+            unallocated=tuple(_typed(doc, "unallocated", list)),
+            violations=tuple(_typed(doc, "violations", list)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad transcript document: {exc}") from exc
@@ -334,6 +339,6 @@ def report_to_dict(
 
 def report_from_dict(doc: Mapping[str, Any]) -> tuple[Instance, Transcript, list[dict]]:
     _expect(doc, FORMAT_REPORT)
-    instance = instance_from_dict(doc["instance"])
-    transcript = transcript_from_dict(doc["transcript"])
+    instance = instance_from_dict(_typed(doc, "instance", dict))
+    transcript = transcript_from_dict(_typed(doc, "transcript", dict))
     return instance, transcript, doc.get("guarantees", [])

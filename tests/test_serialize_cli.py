@@ -1,5 +1,6 @@
 """File formats (lossless, exact, deterministic) and the command-line surface."""
 
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -215,6 +216,87 @@ def test_cli_gen_builtin_instances(tmp_path):
                    "-o", str(tmp_path / "xos.json")) == 0
 
 
+# SHA-256 of the documents `bidfair gen KIND --k K` and `bidfair play --builtin
+# KIND --k K` write for the staged constructions, recorded before their three
+# layouts were folded into one builder.
+STAGED_DOCUMENT_DIGESTS = {
+    ("altruistic-negative", 1): (
+        "0b17edae78501a0e48d28ccd41d7e6cb61c0a5d297b659876e1b055d73ed57b0",
+        "a6854bf41acfb6a84533b34d198aec82b38861e9404fb53c8a25a76de1ab7597",
+    ),
+    ("altruistic-negative", 2): (
+        "cc72c1aa260dc08934f61505eb293b4435cc969b466e77e606e3cfd4e0ffeba5",
+        "98b42c66f4a16596bb98abac2e34755f5d96b2dc38c23b053d5fa5a938a8f4b7",
+    ),
+    ("altruistic-negative", 3): (
+        "bc037f415602ef4c779923cce25d4cf1b08b834d5f53abec70c8c7773544cd97",
+        "53449313089e37a20a30d43976bf210c73bfd0de51c44dc00f8de194cd720644",
+    ),
+    ("original-negative", 1): (
+        "0b17edae78501a0e48d28ccd41d7e6cb61c0a5d297b659876e1b055d73ed57b0",
+        "17e8547e710389be578d57f574b496abc5c0a286efaa851c7b73470985fc7658",
+    ),
+    ("original-negative", 2): (
+        "02da488a661e4045aaaabe71a23a94d723f3d077566857b76053bea2efb912eb",
+        "e900563b475d91a57966825b78111947d9c7326a2fc1e960fb5df7f5551a3201",
+    ),
+    ("original-negative", 3): (
+        "089beab6f52101b2dbbf6efb39bd6062539433e2a700d17d465ceceb5e48e20c",
+        "b924f4ab9a5014797acb5ec99b74a9631c2df971c44a03bf7802ff42182e3aca",
+    ),
+    ("modified-negative", 1): (
+        "daa21d449a01a751b9c13077f19a7f38dd588e2051c40e8baaef265a30a67f53",
+        "956f5f8f5c06e4cf9fac4e285668942f1ca36ce81f381f1b7c4720d3737da502",
+    ),
+    ("modified-negative", 2): (
+        "8111585446e2b6ea80fabfac8be09d5f75faf0d949f5b0f04a40ee9113943939",
+        "24c504c3a3ef5f870a5e30fadffdc74e341a6c56864ee50d51895e381c5e2992",
+    ),
+    ("modified-negative", 3): (
+        "c77bf75999fa3111b74f2e00683f79f2d2bab2398b75c41eaf6a8caeb708f05a",
+        "3f44cf584f1d9d6165fecbcb7ec9b7a3b79c856f7a698df56c3db33a05e72360",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, k", list(STAGED_DOCUMENT_DIGESTS))
+def test_cli_staged_builtin_documents_are_pinned(tmp_path, kind, k):
+    digests = []
+    for command in (("gen", kind), ("play", "--builtin", kind)):
+        path = tmp_path / f"{command[0]}.json"
+        assert run_cli(*command, "--k", str(k), "-o", str(path)) == 0
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert tuple(digests) == STAGED_DOCUMENT_DIGESTS[kind, k]
+
+
+@pytest.mark.parametrize(
+    "options, counted, digest",
+    [
+        (["--default-strategy", "proportional", "--report-shares", "aps"], "aps_exact",
+         "5f500aaf8c8a8b3c7fd254cf084bd88b6fd5553fe0ae10d2e96d8383f2192912"),
+        (["--mode", "altruistic", "--rho", "10/27", "--default-strategy", "altruistic",
+          "--report-shares", "mms"], "mms_exact",
+         "83eddee01c354345ec5dda5bb3aec92cce1f88fd8f0dddc70aa0906de987a8f7"),
+    ],
+    ids=["aps", "mms"],
+)
+def test_cli_play_computes_each_share_once(tmp_path, monkeypatch, options, counted, digest):
+    inst_path = tmp_path / "inst.json"
+    report_path = tmp_path / "report.json"
+    run_cli("gen", "random", "--seed", "1", "-o", str(inst_path))
+    calls = []
+    exact = getattr(cli, counted)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(cli, counted, counting)
+    assert run_cli("play", str(inst_path), *options, "-o", str(report_path)) == 0
+    assert len(calls) == 3  # one share per agent, for its strategy and the report alike
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == digest
+
+
 def test_cli_alloc_with_exact_check(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     run_cli("gen", "random", "--seed", "6", "--agents", "3", "--items", "6",
@@ -303,10 +385,51 @@ def test_cli_verify_round_with_bids_list_is_input_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "'bids' must be an object, not list" in err
 
 
+MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("transcript", "config"), [], "'config' must be an object, not list"),
+        (("transcript", "config", "tie"), "x", "'tie' must be an object, not str"),
+        (("transcript", "allocation"), [], "'allocation' must be an object, not list"),
+        (("instance",), [], "'instance' must be an object, not list"),
+        (("transcript",), "x", "'transcript' must be an object, not str"),
+        (("instance",), MISSING, "missing 'instance'"),
+        (("transcript",), MISSING, "missing 'transcript'"),
+        (("instance", "items"), "abcd", "'items' must be a list, not str"),
+        (("transcript", "agent_ids"), "a0", "'agent_ids' must be a list, not str"),
+        (("transcript", "unallocated"), "e9", "'unallocated' must be a list, not str"),
+        (("transcript", "allocation", "a0"), "e0", "'a0' must be a list, not str"),
+    ],
+)
+def test_cli_verify_malformed_report_is_input_error(tmp_path, capsys, path, value, message):
+    inst_path = tmp_path / "inst.json"
+    report_path = tmp_path / "report.json"
+    run_cli("gen", "random", "--seed", "2", "--agents", "2", "--items", "4", "-o", str(inst_path))
+    assert run_cli("play", str(inst_path), "-o", str(report_path)) == 0
+    doc = json.loads(report_path.read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", str(report_path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
 @pytest.mark.parametrize(
     "path, value",
     [(("rounds",), {}), (("rounds", 0, "bids"), "1/2"), (("rounds", 0, "items"), {"e0": 1}),
-     (("rounds", 0, "items"), "e0")],
+     (("rounds", 0, "items"), "e0"), (("config",), []), (("config", "tie"), "x"),
+     (("allocation",), []), (("agent_ids",), "a"), (("unallocated",), "e9"),
+     (("allocation", "a"), "e0")],
 )
 def test_transcript_wrongly_typed_fields_are_parse_errors(path, value):
     inst = make_instance(["e0"], [("a", 1, AdditiveValuation({"e0": 1}))])
