@@ -97,6 +97,14 @@ def _parse_int(text: str, what: str) -> int:
 
 # ---------------------------------------------------------------- gen
 
+def _generate(generator, *args, **kwargs):
+    """Call an instance generator; its ValueError is an out-of-range argument."""
+    try:
+        return generator(*args, **kwargs)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 NEGATIVE_KINDS = {
     "altruistic-negative": negatives.gen_altruistic_negative,
     "original-negative": negatives.gen_original_negative,
@@ -106,14 +114,15 @@ NEGATIVE_KINDS = {
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "random":
-        instance = negatives.gen_random_submodular(
+        instance = _generate(
+            negatives.gen_random_submodular,
             seed=args.seed, n=args.agents, m=args.items,
             universe=args.universe, entitlements=args.entitlements,
         )
     elif args.kind == "xos-hard":
-        instance = negatives.gen_xos_hard(args.agents, args.k).instance
+        instance = _generate(negatives.gen_xos_hard, args.agents, args.k).instance
     elif args.kind in NEGATIVE_KINDS:
-        instance = NEGATIVE_KINDS[args.kind](args.k).instance
+        instance = _generate(NEGATIVE_KINDS[args.kind], args.k).instance
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown kind {args.kind}")
     _write_text(args.output, serialize.dumps(serialize.instance_to_dict(instance)))
@@ -216,9 +225,9 @@ def _game_config_from_args(args: argparse.Namespace) -> GameConfig:
 
 def _builtin_run(args: argparse.Namespace) -> int:
     if args.builtin == "xos-hard":
-        run = negatives.gen_xos_hard(args.agents, args.k)
+        run = _generate(negatives.gen_xos_hard, args.agents, args.k)
     else:
-        run = NEGATIVE_KINDS[args.builtin](args.k)
+        run = _generate(NEGATIVE_KINDS[args.builtin], args.k)
     allocation, transcript = run.execute()
     value = run.instance.valuation(run.agent).value(allocation[run.agent])
     ok = value <= run.expected_value if run.value_is_upper_bound else value == run.expected_value

@@ -237,6 +237,8 @@ def gen_xos_hard(n: int, k: int) -> ScriptedRun:
     bundle meets every column at most once, so its value never exceeds 1,
     while the column partition witnesses a share of k.
     """
+    if k < 1:
+        raise ValueError("need k >= 1")
     if n < 4 * k * k:
         raise ValueError("need n >= 4k^2 agents")
     if n % 2:
@@ -285,6 +287,12 @@ def gen_random_submodular(
     entitlements: str = "equal",
 ) -> Instance:
     """Seeded instance with weighted-coverage (hence submodular) valuations."""
+    if n < 1:
+        raise ValueError("need n >= 1 agents")
+    if m < 0:
+        raise ValueError("need m >= 0 items")
+    if universe < 1:
+        raise ValueError("need universe >= 1 elements")
     if entitlements not in ("equal", "random"):
         raise ValueError("entitlements must be 'equal' or 'random'")
     rng = random.Random(seed)

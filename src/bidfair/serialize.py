@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Any, Mapping
 
 from .engine import GameConfig, Round, TieBreak, Transcript
@@ -110,20 +110,21 @@ def valuation_to_dict(v: ValuationOracle) -> dict:
     raise ParseError(f"cannot serialize valuation of type {type(v).__name__}")
 
 
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
 def _typed(doc: Mapping[str, Any], key: str, kind: type) -> Any:
     if key not in doc:
         raise ParseError(f"missing {key!r}")
     value = doc[key]
     if not isinstance(value, kind):
-        expected = "an object" if kind is dict else "a list"
-        raise ParseError(f"{key!r} must be {expected}, not {type(value).__name__}")
+        raise ParseError(f"{key!r} must be {_KIND_NAMES[kind]}, not {type(value).__name__}")
     return value
 
 
 def _all_typed(values: Any, kind: type, what: str) -> Any:
     if not all(isinstance(value, kind) for value in values):
-        expected = "an object" if kind is dict else "a list"
-        raise ParseError(f"every {what} must be {expected}")
+        raise ParseError(f"every {what} must be {_KIND_NAMES[kind]}")
     return values
 
 
@@ -219,7 +220,9 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
             )
             for a in _typed(doc, "agents", list)
         )
-        instance = Instance(items=tuple(_typed(doc, "items", list)), agents=agents)
+        _all_typed((a.id for a in agents), str, "agent id")
+        items = _all_typed(_typed(doc, "items", list), str, "item")
+        instance = Instance(items=tuple(items), agents=agents)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad instance document: {exc}") from exc
     for a in instance.agents:
@@ -298,13 +301,19 @@ def transcript_from_dict(doc: Mapping[str, Any]) -> Transcript:
             )
             for r in _typed(doc, "rounds", list)
         )
+        # one pass over all picks, which a valid game keeps to one per item
+        _all_typed((r.winner for r in rounds), str, "round winner")
+        _all_typed(chain.from_iterable(r.items for r in rounds), str, "picked item")
         allocation = _typed(doc, "allocation", dict)
         return Transcript(
             config=config_from_dict(_typed(doc, "config", dict)),
             rounds=rounds,
-            allocation={a: frozenset(_typed(allocation, a, list)) for a in allocation},
-            agent_ids=tuple(_typed(doc, "agent_ids", list)),
-            unallocated=tuple(_typed(doc, "unallocated", list)),
+            allocation={
+                a: frozenset(_all_typed(_typed(allocation, a, list), str, "allocated item"))
+                for a in allocation
+            },
+            agent_ids=tuple(_all_typed(_typed(doc, "agent_ids", list), str, "agent id")),
+            unallocated=tuple(_all_typed(_typed(doc, "unallocated", list), str, "unallocated item")),
             violations=tuple(_typed(doc, "violations", list)),
         )
     except (KeyError, TypeError, ValueError) as exc:

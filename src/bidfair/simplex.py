@@ -1,4 +1,4 @@
-"""Exact linear programming by two-phase tableau simplex in fractions.Fraction.
+"""Exact linear programming by a two-phase, fraction-free tableau simplex.
 
 Solves   max c.x   subject to   A x <= b,  x >= 0.
 
@@ -8,6 +8,18 @@ basis and skips phase 1.  The columns are the structural variables, then one
 slack per row, then one artificial per negated row, each in row order; Bland's
 rule picks the smallest eligible column, so the solver terminates on every
 input and the same input always takes the same pivots.
+
+The tableau holds Python ints over one common denominator d > 0, not
+fractions.  Each input row is scaled by the lcm of its denominators, with its
+slack and artificial measured in units of one over that scale, so the
+identity columns stay unit columns and d starts at 1.  A pivot on p keeps the
+pivot row and maps every other row r to (M_r * p - M_r[s] * M_pivot) // d,
+then sets d = p: the rule of Edmonds (1967) and Bareiss (1968), in which the
+division is exact.  Scaling a row or a slack by a positive number keeps every
+reduced cost's sign and every ratio's order, so the pivots are the ones a
+rational tableau would take.  Inputs may be ints, ``Fraction``s or anything
+``Fraction`` accepts, and results are returned as ``Fraction``s; only reading
+the input and the results does rational arithmetic.
 
 Beyond optima, the solver reports row multipliers: ``duals`` at optimality and
 a ``farkas`` vector when the constraints are infeasible.  A farkas vector u
@@ -19,10 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -34,11 +44,18 @@ class LPResult:
     farkas: list[Fraction] | None = None
 
 
+def _rational(v) -> int | Fraction:
+    """v as an exact rational: ints and Fractions as they are (both carry
+    numerator and denominator), anything else through Fraction."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
 class _Tableau:
-    """Dense simplex tableau with an explicit identity column per row."""
+    """Dense integer tableau: row i stands for rows[i] / d, the objective row
+    for rows[m] / (d * obj_scale), with an explicit identity column per row."""
 
     def __init__(self, a_ub, b_ub, n_vars: int):
-        rhs = [Fraction(b) for b in b_ub]
+        rhs = [_rational(b) for b in b_ub]
         if len(a_ub) != len(rhs):
             raise ValueError("row count mismatch")
         self.m = len(rhs)
@@ -46,91 +63,106 @@ class _Tableau:
         self.artificials = range(first_artificial, first_artificial + sum(b < 0 for b in rhs))
         self.rhs_col = self.artificials.stop
         self.width = self.rhs_col + 1
+        self.d = 1
         self.signs = []  # sign applied to each input row during normalization
+        self.scales = []  # the positive integer each normalized row is multiplied by
         self.identity_col = []
         self.rows = []
         artificials = iter(self.artificials)
         for i, (a, b) in enumerate(zip(a_ub, rhs)):
-            a = [Fraction(v) for v in a]
             if len(a) != n_vars:
                 raise ValueError("row length mismatch")
-            row = [_ZERO] * self.width
-            if b < 0:  # negate the row; its artificial starts in the basis
-                row[:n_vars] = [-v for v in a]
-                row[n_vars + i] = -_ONE
-                col = next(artificials)
-                row[col] = _ONE
-                b = -b
-                self.signs.append(-1)
-            else:
-                row[:n_vars] = a
-                col = n_vars + i
-                row[col] = _ONE
-                self.signs.append(1)
-            row[self.rhs_col] = b
+            a = [_rational(v) for v in a]
+            sign = -1 if b < 0 else 1  # a negated row's artificial starts in the basis
+            scale = lcm(b.denominator, *(v.denominator for v in a))
+            row = [0] * self.width
+            row[:n_vars] = [sign * v.numerator * (scale // v.denominator) for v in a]
+            row[n_vars + i] = sign
+            col = next(artificials) if b < 0 else n_vars + i
+            row[col] = 1
+            row[self.rhs_col] = sign * b.numerator * (scale // b.denominator)
             self.rows.append(row)
+            self.signs.append(sign)
+            self.scales.append(scale)
             self.identity_col.append(col)
         self.basis = list(self.identity_col)
 
     def _pivot(self, row: int, col: int) -> None:
-        piv = self.rows[row][col]
-        inv = _ONE / piv
-        self.rows[row] = [v * inv for v in self.rows[row]]
+        """Fraction-free pivot; the pivot row is kept and becomes the new d."""
         prow = self.rows[row]
-        for r in range(self.m + 1):
+        p, d = prow[col], self.d
+        for r, other in enumerate(self.rows):
             if r == row:
                 continue
-            factor = self.rows[r][col]
-            if factor != 0:
-                self.rows[r] = [v - factor * p for v, p in zip(self.rows[r], prow)]
+            f = other[col]
+            if f:
+                self.rows[r] = [(v * p - f * q) // d for v, q in zip(other, prow)]
+            elif p != d:
+                self.rows[r] = [v * p // d for v in other]
+        if p < 0:  # only a phase-1 artificial leaves on a negative entry
+            self.rows = [[-v for v in other] for other in self.rows]
+            p = -p
+        self.d = p
         self.basis[row] = col
 
     def _run(self, allowed_cols) -> str:
         """Pivot to optimality (objective row = reduced costs z_j - c_j)."""
-        obj = self.m  # index of the objective row
+        obj = self.rows[self.m]
+        rhs_col = self.rhs_col
         while True:
             enter = -1
             for j in allowed_cols:
-                if self.rows[obj][j] < 0:
+                if obj[j] < 0:
                     enter = j
                     break  # Bland: smallest improving index
             if enter < 0:
                 return "optimal"
             leave = -1
-            best = None
             for i in range(self.m):
-                coef = self.rows[i][enter]
+                row = self.rows[i]
+                coef = row[enter]
                 if coef > 0:
-                    ratio = self.rows[i][self.rhs_col] / coef
-                    if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leave]):
-                        best = ratio
-                        leave = i
+                    if leave < 0:
+                        leave, num, den = i, row[rhs_col], coef
+                        continue
+                    # ratio row[rhs] / coef against num / den, both denominators > 0
+                    lhs, rhs = row[rhs_col] * den, num * coef
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                        leave, num, den = i, row[rhs_col], coef
             if leave < 0:
                 return "unbounded"
             self._pivot(leave, enter)
+            obj = self.rows[self.m]
 
-    def set_objective(self, costs: dict[int, object]) -> None:
-        """Install objective row for max sum costs[j] * var_j (reduced costs)."""
-        obj = [_ZERO] * self.width
-        for j, c in costs.items():
-            obj[j] = -Fraction(c)
+    def set_objective(self, costs: dict[int, int | Fraction]) -> None:
+        """Install the objective row for max sum costs[j] * var_j, with each
+        slack and artificial priced per scaled unit, and price out the basis."""
+        self.obj_scale = lcm(*(c.denominator for c in costs.values()))
+        self.costs = {j: c.numerator * (self.obj_scale // c.denominator) for j, c in costs.items()}
+        obj = [0] * self.width
+        for j, c in self.costs.items():
+            obj[j] = -c * self.d
+        for i in range(self.m):
+            c = self.costs.get(self.basis[i], 0)
+            if c:
+                obj = [o + c * v for o, v in zip(obj, self.rows[i])]
         self.rows = self.rows[: self.m] + [obj]
-        # price out basic variables so reduced costs of the basis are zero
-        for i in range(self.m):
-            factor = self.rows[self.m][self.basis[i]]
-            if factor != 0:
-                self.rows[self.m] = [
-                    v - factor * p for v, p in zip(self.rows[self.m], self.rows[i])
-                ]
 
-    def row_duals(self, identity_costs: dict[int, object]) -> list[Fraction]:
-        """Multipliers of the original rows, read off the identity columns."""
-        duals = []
-        for i in range(self.m):
-            col = self.identity_col[i]
-            y = self.rows[self.m][col] + identity_costs.get(col, 0)
-            duals.append(self.signs[i] * y)
-        return duals
+    def value(self, i: int) -> Fraction:
+        """The right-hand side of row i; the objective's when i == m."""
+        scale = self.obj_scale if i == self.m else 1
+        return Fraction(self.rows[i][self.rhs_col], self.d * scale)
+
+    def row_duals(self) -> list[Fraction]:
+        """Multipliers of the original rows, read off the identity columns: the
+        reduced cost plus the cost of row i's identity column, per unit of the
+        input row (scale times per scaled unit), with the row's sign."""
+        obj, d = self.rows[self.m], self.d
+        den = d * self.obj_scale
+        return [
+            Fraction(sign * scale * (obj[col] + self.costs.get(col, 0) * d), den)
+            for sign, scale, col in zip(self.signs, self.scales, self.identity_col)
+        ]
 
 
 def solve_lp(
@@ -143,15 +175,20 @@ def solve_lp(
     tab = _Tableau(a_ub, b_ub, n_vars)
     structural_and_slack = range(n_vars + tab.m)
 
-    # phase 1: drive artificials to zero
+    # phase 1: drive artificials to zero; an artificial costs 1 per unit of
+    # its input row, which is 1/scale per scaled unit
     if tab.artificials:
-        phase1_costs = dict.fromkeys(tab.artificials, -1)
-        tab.set_objective(phase1_costs)
+        tab.set_objective(
+            {
+                col: Fraction(-1, scale)
+                for col, scale in zip(tab.identity_col, tab.scales)
+                if col in tab.artificials
+            }
+        )
         status = tab._run(structural_and_slack)
         assert status == "optimal"  # phase-1 objective is bounded by 0
-        infeas = -tab.rows[tab.m][tab.rhs_col]
-        if infeas > 0:
-            return LPResult(status="infeasible", farkas=tab.row_duals(phase1_costs))
+        if tab.value(tab.m) < 0:
+            return LPResult(status="infeasible", farkas=tab.row_duals())
         # pivot basic artificials out where possible
         for i in range(tab.m):
             if tab.basis[i] in tab.artificials:
@@ -161,16 +198,15 @@ def solve_lp(
                         break
 
     # phase 2
-    tab.set_objective(dict(enumerate(objective)))
+    tab.set_objective({j: _rational(c) for j, c in enumerate(objective)})
     status = tab._run(structural_and_slack)
     if status == "unbounded":
         return LPResult(status="unbounded")
-    x = [_ZERO] * n_vars
+    x = [Fraction(0)] * n_vars
     for i, col in enumerate(tab.basis):
         if col < n_vars:
-            x[col] = tab.rows[i][tab.rhs_col]
-    value = tab.rows[tab.m][tab.rhs_col]
-    return LPResult(status="optimal", x=x, objective=value, duals=tab.row_duals({}))
+            x[col] = tab.value(i)
+    return LPResult(status="optimal", x=x, objective=tab.value(tab.m), duals=tab.row_duals())
 
 
 def feasible_point(

@@ -323,6 +323,29 @@ def test_cli_alloc_with_exact_check(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "altruistic-negative", "--k", "5"),
+        ("gen", "altruistic-negative", "--k", "0"),
+        ("play", "--builtin", "original-negative", "--k", "5"),
+        ("gen", "xos-hard", "--agents", "3", "--k", "2"),
+        ("gen", "xos-hard", "--agents", "4", "--k", "0"),
+        ("play", "--builtin", "xos-hard", "--agents", "4", "--k", "0"),
+        ("gen", "random", "--agents", "0"),
+        ("gen", "random", "--agents", "-1"),
+        ("gen", "random", "--items", "-1"),
+        ("gen", "random", "--universe", "0"),
+        ("gen", "random", "--universe", "-1"),
+    ],
+)
+def test_cli_out_of_range_generator_arguments_are_input_errors(capsys, argv):
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "internal" not in err
+
+
 def test_cli_lpcert(tmp_path):
     out = tmp_path / "cert.json"
     assert run_cli("lpcert", "--z", "27/10", "--n", "inf", "-o", str(out)) == 0
@@ -402,6 +425,15 @@ MISSING = object()
         (("transcript", "agent_ids"), "a0", "'agent_ids' must be a list, not str"),
         (("transcript", "unallocated"), "e9", "'unallocated' must be a list, not str"),
         (("transcript", "allocation", "a0"), "e0", "'a0' must be a list, not str"),
+        (("instance", "agents", 0, "id"), 1, "every agent id must be a string"),
+        (("instance", "agents", 1, "id"), None, "every agent id must be a string"),
+        (("instance", "agents", 0, "id"), True, "every agent id must be a string"),
+        (("instance", "items"), [1, 2, 3, 4], "every item must be a string"),
+        (("transcript", "agent_ids"), [1, "a1"], "every agent id must be a string"),
+        (("transcript", "unallocated"), [["x"]], "every unallocated item must be a string"),
+        (("transcript", "allocation", "a0"), [{"e00": 1}], "every allocated item must be a string"),
+        (("transcript", "rounds", 0, "items"), [["e00"]], "every picked item must be a string"),
+        (("transcript", "rounds", 0, "winner"), 0, "every round winner must be a string"),
     ],
 )
 def test_cli_verify_malformed_report_is_input_error(tmp_path, capsys, path, value, message):

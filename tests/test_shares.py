@@ -1,5 +1,6 @@
 """Exact share oracles: frozen values, witnesses, and cross-validation."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,6 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import corpus_helpers as ch
 from bidfair.model import FractionalPartition
 from bidfair.shares import (
     SizeGuardSettingError,
@@ -272,6 +274,21 @@ def test_packing_aps_matches_equality_row_formulation(instance, entitlement):
             frozenset(sub) for size in range(len(bundle)) for sub in combinations(sorted(bundle), size)
         )
         assert all(v.value(sub) < res.value for sub in proper_subsets)
+
+
+def test_corpus_aps_values_and_witnesses_are_pinned():
+    # all 180 agents of corpus instances 0-59: the value, then each witness
+    # bundle (items sorted) with its weight, in the order aps_exact returns them
+    lines = []
+    for idx in range(60):
+        for agent_id in ch.instance(idx).agent_ids:
+            res = ch.aps_of(idx, agent_id)
+            entries = " ".join(f"{','.join(sorted(bundle))}:{w}" for bundle, w in res.witness.entries)
+            lines.append(f"{idx} {agent_id} {res.value} {entries}")
+    assert len(lines) == 180
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "e88787b51b7b4e85445c432475c36e7f0ad521935eadcf60381eb6d9cc549730"
+    )
 
 
 def test_doctests():

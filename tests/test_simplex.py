@@ -1,5 +1,8 @@
 """Exact LP solver: optima, duals, and infeasibility certificates."""
 
+import hashlib
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -57,6 +60,16 @@ def test_infeasible_with_verified_certificate():
     res = feasible_point(1, a_ub=a, b_ub=b)
     assert res.status == "infeasible"
     assert verify_farkas(res.farkas, a_ub=a, b_ub=b)
+
+
+def test_artificial_pivoted_out_on_a_negative_entry():
+    # phase 1 ends with the artificial of row 0 basic at zero, and the only
+    # nonzero entry it can leave on is negative
+    res = solve_lp([-1], a_ub=[[-1], [1]], b_ub=[-2, 2])
+    assert res.status == "optimal"
+    assert res.x == [Fraction(2)]
+    assert res.objective == -2
+    assert res.duals == [Fraction(1), Fraction(0)]
 
 
 def test_degenerate_lp_terminates():
@@ -123,3 +136,43 @@ def test_every_answer_carries_its_certificate(system):
         assert verify_farkas(res.farkas, a_ub=a, b_ub=b)
     else:
         assert res.status == "unbounded"
+
+
+def pinned_family(seed, count):
+    """Seeded (c, a, b) systems: mixed denominators, negative b, fractional costs."""
+    rng = random.Random(seed)
+    denominators = (1, 1, 1, 2, 3, 4, 6, 7)
+
+    def q(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.choice(denominators))
+
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        m = rng.randint(0, 5)
+        sparse = rng.random() < 0.3
+        a = [[0 if sparse and rng.random() < 0.4 else q(-6, 6) for _ in range(n)] for _ in range(m)]
+        b = [q(-6, 6) for _ in range(m)]
+        c = [q(-5, 5) for _ in range(n)]
+        yield c, a, b
+
+
+def canonical(res):
+    def numbers(values):
+        return None if values is None else " ".join(map(str, values))
+
+    objective = None if res.objective is None else str(res.objective)
+    return repr((res.status, numbers(res.x), objective, numbers(res.duals), numbers(res.farkas)))
+
+
+def test_outputs_on_a_seeded_family_are_pinned():
+    # two phase-1 artificials in this family are pivoted out on a negative entry
+    results = [solve_lp(c, a_ub=a, b_ub=b) for c, a, b in pinned_family(2026, 2000)]
+    assert Counter(res.status for res in results) == {
+        "optimal": 503,
+        "unbounded": 850,
+        "infeasible": 647,
+    }
+    text = "\n".join(map(canonical, results))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e79c1043e088dd9ab24ebf88773c6f3abc236c5842bea9ab0c5e9c6d83802917"
+    )
