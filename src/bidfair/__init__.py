@@ -31,7 +31,6 @@ from .valuations import (
     is_monotone_normalized,
     is_submodular,
     marginal,
-    truncate_valuation,
 )
 from .shares import (
     ShareResult,

@@ -75,17 +75,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _load_instance(path: str) -> Instance:
-    try:
-        return serialize.instance_from_dict(serialize.loads(_read_text(path)))
-    except serialize.ParseError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return serialize.parse_rational(text)
-    except serialize.ParseError as exc:
-        raise InputError(str(exc)) from exc
+    return serialize.instance_from_dict(serialize.loads(_read_text(path)))
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -188,11 +178,11 @@ def _parse_strategy_spec(
     def share_value(text: str) -> Fraction:
         if text in ("aps", "mms"):
             return exact_share(text, agent_id)
-        return _parse_fraction(text)
+        return serialize.parse_rational(text)
 
     if name == "proportional":
         share = share_value(params.get("share", "aps"))
-        rho = _parse_fraction(params["rho"]) if "rho" in params else None
+        rho = serialize.parse_rational(params["rho"]) if "rho" in params else None
         return ProportionalBidder(spec.valuation, spec.entitlement, share, rho)
     if name == "altruistic":
         share = share_value(params.get("share", "mms"))
@@ -204,14 +194,14 @@ def _parse_strategy_spec(
     if name == "random":
         return RandomBidder(_parse_int(params.get("seed", "0"), "random seed"))
     if name == "constant":
-        return ConstantBidder(_parse_fraction(params.get("amount", "0")))
+        return ConstantBidder(serialize.parse_rational(params.get("amount", "0")))
     if name == "zero":
         return ZeroBidder()
     raise InputError(f"unknown strategy {name!r}")
 
 
 def _game_config_from_args(args: argparse.Namespace) -> GameConfig:
-    rho = _parse_fraction(args.rho) if args.rho else None
+    rho = serialize.parse_rational(args.rho) if args.rho else None
     try:
         tie = TieBreak(
             policy=args.tiebreak,
@@ -281,7 +271,7 @@ def cmd_play(args: argparse.Namespace) -> int:
     failed = False
     if args.report_shares:
         shares = {a: exact_share(args.report_shares, a) for a in instance.agent_ids}
-        target = _parse_fraction(args.target_rho) if args.target_rho else Fraction(0)
+        target = serialize.parse_rational(args.target_rho) if args.target_rho else Fraction(0)
         report = guarantee_report(instance, allocation, shares, {a: target for a in shares})
         failed = not report.all_passed
         guarantees = [
@@ -304,7 +294,7 @@ def cmd_play(args: argparse.Namespace) -> int:
 
 def cmd_alloc(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    epsilon = _parse_fraction(args.epsilon) if args.epsilon else default_epsilon(args.mode, instance)
+    epsilon = serialize.parse_rational(args.epsilon) if args.epsilon else default_epsilon(args.mode, instance)
     exact = None
     if args.check_exact:
         exact = {spec.id: _exact_share(args.mode, instance, spec) for spec in instance.agents}
@@ -354,11 +344,8 @@ def cmd_alloc(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        doc = serialize.loads(_read_text(args.report))
-        instance, transcript, guarantees = serialize.report_from_dict(doc)
-    except serialize.ParseError as exc:
-        raise InputError(str(exc)) from exc
+    doc = serialize.loads(_read_text(args.report))
+    instance, transcript, guarantees = serialize.report_from_dict(doc)
     try:
         check_transcript(transcript, instance)
     except RuleViolation as exc:
@@ -394,7 +381,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_lpcert(args: argparse.Namespace) -> int:
     n = None if args.n == "inf" else _parse_int(args.n, "--n")
     try:
-        system = build_theorem_system(_parse_fraction(args.z), n)
+        system = build_theorem_system(serialize.parse_rational(args.z), n)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     outcome = check_feasible(system)
@@ -490,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, SizeGuardExceeded, SizeGuardSettingError) as exc:
+    except (InputError, serialize.ParseError, SizeGuardExceeded, SizeGuardSettingError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except Exception as exc:  # anything else is a bug, never a guarantee failure

@@ -85,14 +85,13 @@ class GameConfig:
 
 @dataclass(frozen=True)
 class PublicState:
-    """Everything a strategy may observe when bidding or picking."""
+    """Everything a strategy may observe when bidding or picking.  Spend and
+    activity follow from ``budgets`` and what ``Strategy.start`` receives."""
 
     round: int
     remaining: tuple[str, ...]  # ascending
     budgets: Mapping[str, Fraction]
     bundles: Mapping[str, frozenset[str]]
-    active: Mapping[str, bool]
-    spent: Mapping[str, Fraction]
     bid_history: tuple[Mapping[str, Fraction], ...]
 
 
@@ -272,8 +271,6 @@ def run_game(
             remaining=tuple(sorted(ledger.remaining)),
             budgets=dict(ledger.budgets),
             bundles=dict(ledger.bundles),
-            active=dict(ledger.active),
-            spent=dict(ledger.spent),
             bid_history=tuple(history),
         )
         bids: dict[str, Fraction] = {}

@@ -111,9 +111,6 @@ class FractionalPartition:
     def coverage(self, item: str) -> Fraction:
         return sum((w for bundle, w in self.entries if item in bundle), Fraction(0))
 
-    def support(self) -> list[frozenset[str]]:
-        return [bundle for bundle, w in self.entries if w > 0]
-
 
 @dataclass(frozen=True)
 class GameState:

@@ -107,23 +107,35 @@ def valuation_to_dict(v: ValuationOracle) -> dict:
             "items": list(v.items),
             "values": sorted([sorted(k), rational_str(x)] for k, x in v.table.items()),
         }
-    raise ParseError(f"cannot serialize valuation of type {type(v).__name__}")
+    raise TypeError(f"cannot serialize valuation of type {type(v).__name__}")
 
 
-_KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
+_KIND_NAMES = {
+    dict: "an object", list: "a list", str: "a string", bool: "a boolean", int: "an integer",
+}
+_REQUIRED = object()
 
 
-def _typed(doc: Mapping[str, Any], key: str, kind: type) -> Any:
+def _is(value: Any, kind: type) -> bool:
+    """``isinstance``, except that a bool is not an integer."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _typed(doc: Mapping[str, Any], key: str, kind: type, default: Any = _REQUIRED) -> Any:
+    """``doc[key]``, which must be of ``kind``; ``default`` when the key is
+    absent and a default is given."""
     if key not in doc:
-        raise ParseError(f"missing {key!r}")
+        if default is _REQUIRED:
+            raise ParseError(f"missing {key!r}")
+        return default
     value = doc[key]
-    if not isinstance(value, kind):
+    if not _is(value, kind):
         raise ParseError(f"{key!r} must be {_KIND_NAMES[kind]}, not {type(value).__name__}")
     return value
 
 
 def _all_typed(values: Any, kind: type, what: str) -> Any:
-    if not all(isinstance(value, kind) for value in values):
+    if not all(_is(value, kind) for value in values):
         raise ParseError(f"every {what} must be {_KIND_NAMES[kind]}")
     return values
 
@@ -251,17 +263,18 @@ def config_to_dict(config: GameConfig) -> dict:
 
 
 def config_from_dict(doc: Mapping[str, Any]) -> GameConfig:
-    tie_doc = _typed(doc, "tie", dict) if "tie" in doc else {}
+    tie_doc = _typed(doc, "tie", dict, {})
+    prefs = _all_typed(_typed(tie_doc, "prefs", list, []), list, "tie preference")
     tie = TieBreak(
         policy=tie_doc.get("policy", "lexicographic"),
-        seed=tie_doc.get("seed"),
-        target=tie_doc.get("target"),
-        prefs=tuple(tuple(p) for p in tie_doc.get("prefs", ())),
+        seed=_typed(tie_doc, "seed", int, None),
+        target=_typed(tie_doc, "target", str, None),
+        prefs=tuple(tuple(_all_typed(p, str, "preferred agent")) for p in prefs),
     )
     return GameConfig(
         mode=doc.get("mode", "standard"),
         rho=parse_rational(doc["rho"]) if "rho" in doc else None,
-        strict_threshold=doc.get("strict_threshold", True),
+        strict_threshold=_typed(doc, "strict_threshold", bool, True),
         tie=tie,
     )
 
@@ -302,6 +315,7 @@ def transcript_from_dict(doc: Mapping[str, Any]) -> Transcript:
             for r in _typed(doc, "rounds", list)
         )
         # one pass over all picks, which a valid game keeps to one per item
+        _all_typed((r.number for r in rounds), int, "round number")
         _all_typed((r.winner for r in rounds), str, "round winner")
         _all_typed(chain.from_iterable(r.items for r in rounds), str, "picked item")
         allocation = _typed(doc, "allocation", dict)
@@ -314,7 +328,7 @@ def transcript_from_dict(doc: Mapping[str, Any]) -> Transcript:
             },
             agent_ids=tuple(_all_typed(_typed(doc, "agent_ids", list), str, "agent id")),
             unallocated=tuple(_all_typed(_typed(doc, "unallocated", list), str, "unallocated item")),
-            violations=tuple(_typed(doc, "violations", list)),
+            violations=tuple(_all_typed(_typed(doc, "violations", list), str, "violation")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad transcript document: {exc}") from exc

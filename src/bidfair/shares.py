@@ -61,18 +61,13 @@ def _checked_items(items: Iterable[str], max_items: int | None) -> tuple[str, ..
     return items
 
 
-def value_table(v: ValuationOracle, items: Sequence[str]) -> list[Fraction]:
-    """Values of all 2^m subsets, indexed by bitmask over the sorted items."""
-    m = len(items)
-    table = [Fraction(0)] * (1 << m)
-    for mask in range(1 << m):
-        bundle = frozenset(items[i] for i in range(m) if mask >> i & 1)
-        table[mask] = v.value(bundle)
-    return table
-
-
 def _mask_to_bundle(mask: int, items: Sequence[str]) -> frozenset[str]:
     return frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
+
+
+def value_table(v: ValuationOracle, items: Sequence[str]) -> list[Fraction]:
+    """Values of all 2^m subsets, indexed by bitmask over the sorted items."""
+    return [v.value(_mask_to_bundle(mask, items)) for mask in range(1 << len(items))]
 
 
 def mms_exact(
@@ -84,12 +79,10 @@ def mms_exact(
     items = _checked_items(items, max_items)
     m = len(items)
     table = value_table(v, items)
-    if n == 1:
-        full = (1 << m) - 1
-        return ShareResult(table[full], (_mask_to_bundle(full, items),))
-
-    best_value = Fraction(-1)
-    best_blocks: tuple[int, ...] = (0,) * n
+    # start at the search's first leaf, every item in the first bundle, so the
+    # witness is a partition however low the values are
+    best_blocks: tuple[int, ...] = ((1 << m) - 1,) + (0,) * (n - 1)
+    best_value = min(table[b] for b in best_blocks)
     blocks = [0] * n
 
     def search(i: int, used: int) -> None:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .engine import PublicState, Strategy, StrategyError
-from .valuations import ValuationOracle, truncate_valuation
+from .valuations import TruncatedValuation, ValuationOracle
 
 RhoLike = Fraction | int | None
 
@@ -137,7 +137,7 @@ class ProportionalBidder(Strategy):
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         self.valuation = (
-            truncate_valuation(valuation, self.share) if self.share > 0 else valuation
+            TruncatedValuation(valuation, self.share) if self.share > 0 else valuation
         )
         self.budget_capped_early = False
         self._ranking = _MarginalRanking(self.valuation)
@@ -197,7 +197,7 @@ class AltruisticProportionalBidder(Strategy):
             raise ValueError("share must be nonnegative")
         if self.share > 0:
             self.scale = self.entitlement / self.share
-            self.valuation = truncate_valuation(valuation, self.share)
+            self.valuation = TruncatedValuation(valuation, self.share)
         else:
             self.scale = Fraction(0)
             self.valuation = valuation
@@ -297,13 +297,11 @@ class GreedyMarginalBidder(Strategy):
 class RandomBidder(Strategy):
     """Seeded random bids (a random sixteenth of the budget) and random picks."""
 
-    def __init__(self, seed: int, granularity: int = 16) -> None:
+    def __init__(self, seed: int) -> None:
         self.rng = random.Random(seed)
-        self.granularity = granularity
 
     def bid(self, state: PublicState) -> Fraction:
-        fraction = Fraction(self.rng.randint(0, self.granularity), self.granularity)
-        return fraction * state.budgets[self.agent_id]
+        return Fraction(self.rng.randint(0, 16), 16) * state.budgets[self.agent_id]
 
     def pick(self, state: PublicState) -> Sequence[str]:
         return [self.rng.choice(state.remaining)]

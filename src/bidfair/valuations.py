@@ -168,7 +168,15 @@ class TableValuation(ValuationOracle):
 
 
 class TruncatedValuation(ValuationOracle):
-    """min(v(S), t): caps an inner oracle at a ceiling t >= 0."""
+    """min(v(S), t): caps an inner oracle at a ceiling t >= 0.
+
+    Preserves normalization and monotonicity, and preserves submodularity
+    when v is submodular.
+
+    >>> v = AdditiveValuation({"a": 3, "b": 2})
+    >>> TruncatedValuation(v, 4).value({"a", "b"})
+    Fraction(4, 1)
+    """
 
     def __init__(self, inner: ValuationOracle, ceiling: Fraction | int) -> None:
         super().__init__()
@@ -195,19 +203,6 @@ class ScaledValuation(ValuationOracle):
 
     def _value(self, bundle: Bundle) -> Fraction:
         return self.factor * self.inner.value(bundle)
-
-
-def truncate_valuation(v: ValuationOracle, t: Fraction | int) -> TruncatedValuation:
-    """Truncate v at level t.
-
-    Preserves normalization and monotonicity, and preserves submodularity
-    when v is submodular.
-
-    >>> v = AdditiveValuation({"a": 3, "b": 2})
-    >>> truncate_valuation(v, 4).value({"a", "b"})
-    Fraction(4, 1)
-    """
-    return TruncatedValuation(v, t)
 
 
 def marginal(v: ValuationOracle, item: str, base: Iterable[str]) -> Fraction:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .engine import GameConfig, Strategy, TieBreak, Transcript, run_game
+from .engine import GameConfig, Strategy, Transcript, run_game
 from .model import Allocation, Instance
 from .strategies import AltruisticProportionalBidder, ProportionalBidder, default_rho
 
@@ -44,17 +44,10 @@ def guarantee_rho(mode: str, entitlement: Fraction) -> Fraction:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _game_config(mode: str, tie: TieBreak) -> GameConfig:
-    if mode == "aps":
-        return GameConfig(mode="standard", tie=tie)
-    return GameConfig(mode="altruistic", rho=MMS_GAME_RHO, tie=tie)
-
-
 def conditional_allocate(
     instance: Instance,
     guesses: Mapping[str, Fraction],
     mode: str = "aps",
-    tie: TieBreak | None = None,
 ) -> tuple[Allocation, Transcript]:
     """One game with every agent playing her proportional strategy at her guess."""
     if set(guesses) != set(instance.agent_ids):
@@ -63,18 +56,15 @@ def conditional_allocate(
         raise ValueError("guesses must be nonnegative")
     if mode == "mms" and not instance.has_equal_entitlements():
         raise ValueError("the spend-capped game guarantee needs equal entitlements")
-    tie = tie or TieBreak()
-    strategies: dict[str, Strategy] = {}
-    for spec in instance.agents:
-        if mode == "aps":
-            strategies[spec.id] = ProportionalBidder(
-                spec.valuation, spec.entitlement, guesses[spec.id]
-            )
-        else:
-            strategies[spec.id] = AltruisticProportionalBidder(
-                spec.valuation, spec.entitlement, guesses[spec.id]
-            )
-    return run_game(instance, strategies, _game_config(mode, tie))
+    if mode == "aps":
+        config, bidder = GameConfig(mode="standard"), ProportionalBidder
+    else:
+        config, bidder = GameConfig(mode="altruistic", rho=MMS_GAME_RHO), AltruisticProportionalBidder
+    strategies: dict[str, Strategy] = {
+        spec.id: bidder(spec.valuation, spec.entitlement, guesses[spec.id])
+        for spec in instance.agents
+    }
+    return run_game(instance, strategies, config)
 
 
 def value_spread_bound(instance: Instance) -> Fraction:
@@ -101,10 +91,10 @@ def call_budget(n: int, epsilon: Fraction, spread: Fraction) -> int:
 def default_epsilon(mode: str, instance: Instance) -> Fraction:
     """Guess-decrement rate that keeps the unconditional guarantee at the
     mode's base fraction: 2/(3m) leaves agents with positive shares at 1/3
-    of their share in the standard game; 1/(3n) is the equal-entitlement
-    counterpart."""
+    of their share in the standard game (m counts as 1 when there are no
+    items); 1/(3n) is the equal-entitlement counterpart."""
     if mode == "aps":
-        return Fraction(2, 3 * len(instance.items))
+        return Fraction(2, 3 * max(1, len(instance.items)))
     if mode == "mms":
         return Fraction(1, 3 * len(instance.agents))
     raise ValueError(f"unknown mode {mode!r}")
@@ -122,9 +112,7 @@ class RefinementOutcome:
 def unconditional_allocate(
     instance: Instance,
     epsilon: Fraction,
-    spread: Fraction | None = None,
     mode: str = "aps",
-    tie: TieBreak | None = None,
     exact_shares: Mapping[str, Fraction] | None = None,
     on_iteration: Callable[[int, dict[str, Fraction], Allocation], None] | None = None,
 ) -> RefinementOutcome:
@@ -138,8 +126,7 @@ def unconditional_allocate(
     epsilon = Fraction(epsilon)
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must lie in (0, 1)")
-    if spread is None:
-        spread = value_spread_bound(instance)
+    spread = value_spread_bound(instance)
     ids = instance.agent_ids
     totals = {a.id: a.valuation.value(instance.item_set) for a in instance.agents}
     guesses = dict(totals)
@@ -149,7 +136,7 @@ def unconditional_allocate(
 
     calls = 0
     while True:
-        allocation, transcript = conditional_allocate(instance, guesses, mode, tie)
+        allocation, transcript = conditional_allocate(instance, guesses, mode)
         calls += 1
         if on_iteration is not None:
             on_iteration(calls, dict(guesses), allocation)

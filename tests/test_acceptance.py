@@ -36,8 +36,8 @@ from bidfair.shares import (
 from bidfair.strategies import default_rho
 from bidfair.valuations import (
     AdditiveValuation,
+    TruncatedValuation,
     UnitDemandValuation,
-    truncate_valuation,
 )
 from bidfair.wrapper import (
     call_budget,
@@ -191,7 +191,7 @@ PROPERTY_PROFILES = (0, 1, 2)  # lexicographic, adversarial, seeded ties
 def _standard_transcript_claims(inst, p_id, share, rho, strategy, transcript):
     """Bid-shape claims; returns the large-phase length and win flag."""
     v = inst.valuation(p_id)
-    vt = truncate_valuation(v, share)
+    vt = TruncatedValuation(v, share)
     b = inst.entitlement(p_id)
     threshold = 2 * rho * share
     bids = []
@@ -232,7 +232,7 @@ def _residual_claims(inst, p_id, share, rho, transcript, transition):
     b_hat = residual.entitlement(p_id)
     res = aps_exact(residual.valuation(p_id), b_hat, residual.items)
     assert res.value == share  # share preserved through the full-budget prefix
-    vt = truncate_valuation(inst.valuation(p_id), share)
+    vt = TruncatedValuation(inst.valuation(p_id), share)
     diag = lower_bound_diagnostics(
         transcript, inst, p_id, res.witness,
         oracle=vt, start_round=transition, entitlement=b_hat,
@@ -326,9 +326,9 @@ def test_criterion_6_structural_run_invariants():
         mms = ch.mms_of(idx, spec.id).value
         n = len(inst.agents)
         for t in (aps, aps / 2):
-            assert aps_exact(truncate_valuation(spec.valuation, t), spec.entitlement, inst.items).value == t
+            assert aps_exact(TruncatedValuation(spec.valuation, t), spec.entitlement, inst.items).value == t
         for t in (mms, Fraction(2, 3) * mms):
-            assert mms_exact(truncate_valuation(spec.valuation, t), n, inst.items).value == t
+            assert mms_exact(TruncatedValuation(spec.valuation, t), n, inst.items).value == t
         truncation_checks += 1
     elapsed = time.time() - start
     print(

@@ -19,7 +19,7 @@ from bidfair.model import FractionalPartition, make_instance, residual_instance
 from bidfair.negatives import gen_random_submodular
 from bidfair.shares import aps_exact
 from bidfair.strategies import ProportionalBidder, RandomBidder, ScriptedBidder, ZeroBidder
-from bidfair.valuations import AdditiveValuation, truncate_valuation
+from bidfair.valuations import AdditiveValuation, TruncatedValuation
 
 
 # ------------------------------------------------------------ LP system
@@ -227,7 +227,7 @@ def test_full_budget_prefix_preserves_the_share():
     assert res_share.value == share  # unchanged by the full-budget prefix
 
     # run diagnostics over the post-prefix window with the residual witness
-    truncated = truncate_valuation(v, share)
+    truncated = TruncatedValuation(v, share)
     diag = lower_bound_diagnostics(
         tr, inst, "p", res_share.witness,
         oracle=truncated, start_round=2, entitlement=Fraction(1, 2),

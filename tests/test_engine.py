@@ -387,3 +387,34 @@ def test_every_single_field_tamper_is_rejected(seed, mode, policy, n, m, field, 
         assert caught.value.round >= index + 1
     else:
         assert caught.value.round == index + 1
+
+
+def replace_round(tr, index, **changes):
+    rnd = dataclasses.replace(tr.rounds[index], **changes)
+    return dataclasses.replace(tr, rounds=tr.rounds[:index] + (rnd,) + tr.rounds[index + 1:])
+
+
+@pytest.mark.parametrize(
+    "forge, rule, number, agent, detail",
+    [
+        (lambda tr: dataclasses.replace(tr, rounds=tr.rounds + (dataclasses.replace(tr.rounds[2], number=4),)),
+         "game over", 4, None, "no item or no active agent"),
+        (lambda tr: replace_round(tr, 0, winner="a1"), "tie-break", 1, "a1", "lexicographic policy"),
+        (lambda tr: replace_round(tr, 0, items=()), "picks", 1, "a0", "picked no item"),
+        (lambda tr: replace_round(tr, 0, items=("e1", "e1")), "picks", 1, "a0", "picked an item twice"),
+        (lambda tr: replace_round(tr, 0, bids={"a0": Fraction(1, 2), "a1": Fraction(0)},
+                                  items=("e1", "e2"), payment=Fraction(1)),
+         "budget", 1, "a0", "paid 1 from a budget of 1/2"),
+        (lambda tr: dataclasses.replace(tr, unallocated=("e1",)), "unallocated", 3, None, "items left"),
+    ],
+)
+def test_each_rule_names_its_round_and_agent(forge, rule, number, agent, detail):
+    # zero bids in a multi-pick game: a0 wins every tie and picks e1, e2, e3;
+    # multi-pick is the one mode where a payment can pass the budget
+    inst = two_agent_instance()
+    _, tr = run_game(inst, {"a0": ZeroBidder(), "a1": ZeroBidder()}, GameConfig(mode="multi_pick"))
+    assert [r.items for r in tr.rounds] == [("e1",), ("e2",), ("e3",)]
+    with pytest.raises(RuleViolation) as caught:
+        check_transcript(forge(tr), inst)
+    assert (caught.value.rule, caught.value.round, caught.value.agent) == (rule, number, agent)
+    assert detail in caught.value.detail

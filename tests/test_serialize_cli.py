@@ -31,6 +31,7 @@ from bidfair.strategies import GreedyMarginalBidder, RandomBidder
 from bidfair.valuations import (
     AdditiveValuation,
     RowSubstitutesValuation,
+    ScaledValuation,
     TableValuation,
     UnitDemandValuation,
     WeightedCoverageValuation,
@@ -323,6 +324,21 @@ def test_cli_alloc_with_exact_check(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("options", [(), ("--epsilon", "1/10"), ("--mode", "mms")])
+def test_cli_alloc_instance_without_items(tmp_path, options):
+    # the APS default epsilon, 2/(3m), takes m as 1 when there are no items
+    inst_path = tmp_path / "empty.json"
+    inst = make_instance([], [("a", Fraction(1, 2), AdditiveValuation({})),
+                              ("b", Fraction(1, 2), AdditiveValuation({}))])
+    inst_path.write_text(dumps(instance_to_dict(inst)))
+    out = tmp_path / "alloc.json"
+    assert run_cli("alloc", str(inst_path), *options, "-o", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["transcript"]["allocation"] == {"a": [], "b": []}
+    if not options:
+        assert doc["epsilon"] == "2/3"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -434,6 +450,16 @@ MISSING = object()
         (("transcript", "allocation", "a0"), [{"e00": 1}], "every allocated item must be a string"),
         (("transcript", "rounds", 0, "items"), [["e00"]], "every picked item must be a string"),
         (("transcript", "rounds", 0, "winner"), 0, "every round winner must be a string"),
+        (("transcript", "config", "strict_threshold"), "no", "'strict_threshold' must be a boolean, not str"),
+        (("transcript", "config", "tie", "seed"), "x", "'seed' must be an integer, not str"),
+        (("transcript", "config", "tie", "seed"), True, "'seed' must be an integer, not bool"),
+        (("transcript", "config", "tie", "target"), 1, "'target' must be a string, not int"),
+        (("transcript", "config", "tie", "prefs"), "a0", "'prefs' must be a list, not str"),
+        (("transcript", "config", "tie", "prefs"), ["a0"], "every tie preference must be a list"),
+        (("transcript", "config", "tie", "prefs"), [[1, 2]], "every preferred agent must be a string"),
+        (("transcript", "rounds", 0, "number"), "1", "every round number must be an integer"),
+        (("transcript", "rounds", 0, "number"), True, "every round number must be an integer"),
+        (("transcript", "violations"), [1], "every violation must be a string"),
     ],
 )
 def test_cli_verify_malformed_report_is_input_error(tmp_path, capsys, path, value, message):
@@ -473,6 +499,12 @@ def test_transcript_wrongly_typed_fields_are_parse_errors(path, value):
     parent[path[-1]] = value
     with pytest.raises(ParseError, match=f"'{path[-1]}' must be"):
         transcript_from_dict(doc)
+
+
+def test_writing_an_unknown_valuation_kind_is_a_type_error():
+    inst = make_instance(["e0"], [("a", 1, ScaledValuation(AdditiveValuation({"e0": 1}), 2))])
+    with pytest.raises(TypeError, match="cannot serialize valuation of type ScaledValuation"):
+        instance_to_dict(inst)
 
 
 def test_cli_shares_additive_values_list_is_input_error(tmp_path, capsys):

@@ -29,9 +29,9 @@ from bidfair.valuations import (
     ScaledValuation,
     SizeGuardExceeded,
     TableValuation,
+    TruncatedValuation,
     UnitDemandValuation,
     WeightedCoverageValuation,
-    truncate_valuation,
 )
 
 
@@ -103,6 +103,19 @@ def test_mms_more_bundles_than_items_is_zero():
     assert mms_exact(v, 3, ["e1"]).value == 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("c", [-1, -2])
+def test_mms_of_a_constant_negative_table(n, c):
+    # every partition's worst bundle is worth c <= -1: the MMS is c, and the
+    # witness must be a partition whose bundles all reach it
+    items = ["e1", "e2"]
+    v = TableValuation(items, {frozenset(s): c for k in range(3) for s in combinations(items, k)})
+    res = mms_exact(v, n, items)
+    assert res.value == c
+    assert len(res.witness) == n
+    assert verify_mms_partition(res.witness, v, items, c)
+
+
 def test_mms_substitute_rows_columns_witness():
     v = RowSubstitutesValuation([["r0a", "r0b"], ["r1a", "r1b"]], [1, 1])
     items = ["r0a", "r0b", "r1a", "r1b"]
@@ -148,12 +161,12 @@ def test_truncation_pins_the_share():
     for n, b in ((2, Fraction(1, 2)), (3, Fraction(1, 3))):
         mms = mms_exact(v, n, items).value
         aps = aps_exact(v, b, items).value
-        assert mms_exact(truncate_valuation(v, mms), n, items).value == mms
-        assert aps_exact(truncate_valuation(v, aps), b, items).value == aps
+        assert mms_exact(TruncatedValuation(v, mms), n, items).value == mms
+        assert aps_exact(TruncatedValuation(v, aps), b, items).value == aps
         for t in (mms / 2, Fraction(2, 3) * mms):
-            assert mms_exact(truncate_valuation(v, t), n, items).value == t
+            assert mms_exact(TruncatedValuation(v, t), n, items).value == t
         for t in (aps / 2, Fraction(2, 3) * aps):
-            assert aps_exact(truncate_valuation(v, t), b, items).value == t
+            assert aps_exact(TruncatedValuation(v, t), b, items).value == t
 
 
 def test_fractional_partition_verifier_rejections():

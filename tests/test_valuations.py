@@ -10,13 +10,13 @@ from bidfair.valuations import (
     RowSubstitutesValuation,
     SizeGuardExceeded,
     TableValuation,
+    TruncatedValuation,
     UnitDemandValuation,
     WeightedCoverageValuation,
     XOSValuation,
     is_monotone_normalized,
     is_submodular,
     marginal,
-    truncate_valuation,
 )
 
 
@@ -44,10 +44,10 @@ def test_marginal_rejects_member_item():
 
 def test_truncation_values():
     v = AdditiveValuation({"e1": 3, "e2": 2})
-    t = truncate_valuation(v, 4)
+    t = TruncatedValuation(v, 4)
     assert t.value({"e1", "e2"}) == 4
     assert t.value({"e2"}) == 2
-    zero = truncate_valuation(v, 0)
+    zero = TruncatedValuation(v, 0)
     assert zero.value({"e1", "e2"}) == 0
 
 
@@ -56,7 +56,7 @@ def test_truncation_preserves_structure():
         {"u1": 2, "u2": 3, "u3": 1},
         {"e1": {"u1", "u2"}, "e2": {"u2", "u3"}, "e3": {"u3"}},
     )
-    t = truncate_valuation(v, Fraction(7, 2))
+    t = TruncatedValuation(v, Fraction(7, 2))
     items = ["e1", "e2", "e3"]
     assert is_monotone_normalized(t, items)
     assert is_submodular(t, items)
@@ -114,7 +114,7 @@ def test_query_counter_counts_cached_queries():
 
 def test_miss_counter_counts_only_evaluations():
     inner = AdditiveValuation({"e1": 1, "e2": 2})
-    v = truncate_valuation(inner, 2)
+    v = TruncatedValuation(inner, 2)
     for bundle in ({"e1"}, {"e1"}, frozenset(["e1"]), {"e1", "e2"}, {"e2", "e1"}):
         v.value(bundle)
     assert (v.query_count, v.miss_count) == (5, 2)
