@@ -367,7 +367,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             else:  # alloc: value >= (1 - epsilon) * rho * share
                 epsilon = serialize.parse_rational(doc["epsilon"])
                 passed = value >= (1 - epsilon) * serialize.parse_rational(entry["rho"]) * share
-            if bool(entry.get("passed", True)) != passed:
+            if serialize._typed(entry, "passed", bool, True) != passed:
                 sys.stderr.write(f"guarantee flag for {agent} is wrong\n")
                 return EXIT_FAIL
     except (KeyError, TypeError, serialize.ParseError) as exc:

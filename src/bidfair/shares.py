@@ -15,8 +15,19 @@ of value at least z).  Shrinking a support bundle to a minimal one only lowers
 coverage, so z is feasible iff the optimum is at least 1, and the witness is
 the optimal lambda scaled to total weight 1.  All rows are <= rows with a
 positive right-hand side, so the exact simplex starts from the slack basis.
+
 The maximin share is the best worst-bundle value over partitions of the items
-into n (possibly empty) bundles; the witness is an optimal partition.
+into n (possibly empty) bundles; the witness is an optimal partition.  The
+search places the items in order, each into a used bundle or the first empty
+one, and compares integer ranks (indices into the sorted distinct values), not
+Fractions.  It starts from its first leaf and replaces its incumbent only on a
+strict improvement, so it returns the first best partition in search order.
+When the table is monotone (one O(m 2^m) pass decides), no leaf below a node
+beats giving all unplaced items to each bundle at once, so a node whose
+min_k rank(block_k | unplaced) is at most the incumbent is cut: its leaves
+could at best tie, never replace, so value and witness are those of the full
+search.  The bound uses only monotonicity, whatever v(empty) is; a table that
+is not monotone is searched in full.
 """
 
 from __future__ import annotations
@@ -70,6 +81,24 @@ def value_table(v: ValuationOracle, items: Sequence[str]) -> list[Fraction]:
     return [v.value(_mask_to_bundle(mask, items)) for mask in range(1 << len(items))]
 
 
+def _ranked_table(v: ValuationOracle, items: Sequence[str]) -> tuple[list[Fraction], list[int]]:
+    """The sorted distinct bundle values, and each mask's index into them."""
+    table = value_table(v, items)
+    candidates = sorted(set(table))
+    rank = {value: r for r, value in enumerate(candidates)}
+    return candidates, [rank[value] for value in table]
+
+
+def _is_monotone(ranks: Sequence[int], m: int) -> bool:
+    """True iff adding an item to a bundle never lowers its value."""
+    return all(
+        ranks[mask] <= ranks[mask | 1 << i]
+        for mask in range(len(ranks))
+        for i in range(m)
+        if not mask >> i & 1
+    )
+
+
 def mms_exact(
     v: ValuationOracle, n: int, items: Iterable[str], max_items: int | None = None
 ) -> ShareResult:
@@ -78,21 +107,29 @@ def mms_exact(
         raise ValueError("need at least one bundle")
     items = _checked_items(items, max_items)
     m = len(items)
-    table = value_table(v, items)
+    candidates, ranks = _ranked_table(v, items)
+    prune = _is_monotone(ranks, m)
+    full = (1 << m) - 1
     # start at the search's first leaf, every item in the first bundle, so the
     # witness is a partition however low the values are
-    best_blocks: tuple[int, ...] = ((1 << m) - 1,) + (0,) * (n - 1)
-    best_value = min(table[b] for b in best_blocks)
+    best_blocks: tuple[int, ...] = (full,) + (0,) * (n - 1)
+    best = min(ranks[b] for b in best_blocks)
     blocks = [0] * n
 
     def search(i: int, used: int) -> None:
-        nonlocal best_value, best_blocks
+        nonlocal best, best_blocks
         if i == m:
-            worst = min(table[b] for b in blocks)
-            if worst > best_value:
-                best_value = worst
+            worst = min(map(ranks.__getitem__, blocks))
+            if worst > best:
+                best = worst
                 best_blocks = tuple(blocks)
             return
+        # on a monotone table no leaf below beats giving the unplaced items
+        # i.. to each bundle at once
+        if prune:
+            rest = full >> i << i
+            if min(ranks[b | rest] for b in blocks) <= best:
+                return
         for idx in range(min(used + 1, n)):
             blocks[idx] |= 1 << i
             search(i + 1, max(used, idx + 1))
@@ -100,7 +137,7 @@ def mms_exact(
 
     search(0, 0)
     witness = tuple(_mask_to_bundle(b, items) for b in best_blocks)
-    return ShareResult(best_value, witness)
+    return ShareResult(candidates[best], witness)
 
 
 def _proper_subset_ranks(ranks: Sequence[int], m: int) -> list[int]:
@@ -159,10 +196,7 @@ def aps_exact(
     if not (0 < b <= 1):
         raise ValueError("entitlement must lie in (0, 1]")
     items = _checked_items(items, max_items)
-    table = value_table(v, items)
-    candidates = sorted(set(table))
-    rank = {value: r for r, value in enumerate(candidates)}
-    ranks = [rank[value] for value in table]
+    candidates, ranks = _ranked_table(v, items)
     below = _proper_subset_ranks(ranks, len(items))
 
     # every z <= v(empty) is witnessed by putting all weight on the empty bundle
@@ -251,10 +285,12 @@ def best_affordable(
 ) -> Fraction:
     """Best bundle value purchasable under given item prices and a budget."""
     budget = Fraction(budget)
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     items = _checked_items(items, max_items)
     m = len(items)
-    best = Fraction(0)
-    for mask in range(1 << m):
+    best = v.value(frozenset())  # the empty bundle costs nothing
+    for mask in range(1, 1 << m):
         cost = sum(
             (prices[items[i]] for i in range(m) if mask >> i & 1), Fraction(0)
         )

@@ -460,13 +460,17 @@ MISSING = object()
         (("transcript", "rounds", 0, "number"), "1", "every round number must be an integer"),
         (("transcript", "rounds", 0, "number"), True, "every round number must be an integer"),
         (("transcript", "violations"), [1], "every violation must be a string"),
+        (("guarantees", 0, "passed"), "no", "'passed' must be a boolean, not str"),
+        (("guarantees", 0, "passed"), 1, "'passed' must be a boolean, not int"),
+        (("guarantees", 0, "passed"), None, "'passed' must be a boolean, not NoneType"),
     ],
 )
 def test_cli_verify_malformed_report_is_input_error(tmp_path, capsys, path, value, message):
     inst_path = tmp_path / "inst.json"
     report_path = tmp_path / "report.json"
     run_cli("gen", "random", "--seed", "2", "--agents", "2", "--items", "4", "-o", str(inst_path))
-    assert run_cli("play", str(inst_path), "-o", str(report_path)) == 0
+    assert run_cli("play", str(inst_path), "--report-shares", "aps", "--target-rho", "1/3",
+                   "-o", str(report_path)) == 0
     doc = json.loads(report_path.read_text())
     parent = doc
     for key in path[:-1]:

@@ -289,6 +289,67 @@ def test_packing_aps_matches_equality_row_formulation(instance, entitlement):
         assert all(v.value(sub) < res.value for sub in proper_subsets)
 
 
+def mms_reference(v, n, items):
+    """MMS by the plain exhaustive search over Fraction values, no bound."""
+    items = sorted(items)
+    m = len(items)
+    table = value_table(v, items)
+    best_blocks = ((1 << m) - 1,) + (0,) * (n - 1)
+    best_value = min(table[b] for b in best_blocks)
+    blocks = [0] * n
+
+    def search(i, used):
+        nonlocal best_value, best_blocks
+        if i == m:
+            worst = min(table[b] for b in blocks)
+            if worst > best_value:
+                best_value = worst
+                best_blocks = tuple(blocks)
+            return
+        for idx in range(min(used + 1, n)):
+            blocks[idx] |= 1 << i
+            search(i + 1, max(used, idx + 1))
+            blocks[idx] &= ~(1 << i)
+
+    search(0, 0)
+    return best_value, tuple(frozenset(items[j] for j in range(m) if b >> j & 1) for b in best_blocks)
+
+
+@st.composite
+def small_tables(draw):
+    """Tables over m <= 6 items with any v(empty), monotone or not."""
+    m = draw(st.integers(min_value=0, max_value=6))
+    items = [f"e{j}" for j in range(m)]
+    raw = draw(st.lists(st.integers(-3, 5), min_size=1 << m, max_size=1 << m))
+    if draw(st.booleans()):
+        # monotone: each bundle is worth the most raw value of any subset
+        for mask in range(1, 1 << m):
+            raw[mask] = max([raw[mask]] + [raw[mask ^ (1 << j)] for j in range(m) if mask >> j & 1])
+    table = {frozenset(items[j] for j in range(m) if mask >> j & 1): x for mask, x in enumerate(raw)}
+    return TableValuation(items, table), items
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=small_tables(), n=st.integers(min_value=1, max_value=4))
+def test_mms_matches_the_unpruned_fraction_search(instance, n):
+    v, items = instance
+    res = mms_exact(v, n, items)
+    assert (res.value, res.witness) == mms_reference(v, n, items)
+
+
+def test_best_affordable_below_zero_and_negative_budget():
+    # the empty bundle costs nothing, so it is always affordable
+    items = ["a", "b"]
+    table = {frozenset(): -3, frozenset(["a"]): -2, frozenset(["b"]): -2, frozenset(items): 5}
+    v = TableValuation(items, table)
+    prices = {"a": Fraction(1), "b": Fraction(1)}
+    assert best_affordable(v, items, prices, Fraction(1, 2)) == -3
+    assert best_affordable(v, items, prices, 1) == -2
+    assert best_affordable(v, items, prices, 2) == 5
+    with pytest.raises(ValueError, match="budget"):
+        best_affordable(v, items, prices, Fraction(-1, 2))
+
+
 def test_corpus_aps_values_and_witnesses_are_pinned():
     # all 180 agents of corpus instances 0-59: the value, then each witness
     # bundle (items sorted) with its weight, in the order aps_exact returns them
@@ -301,6 +362,21 @@ def test_corpus_aps_values_and_witnesses_are_pinned():
     assert len(lines) == 180
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "e88787b51b7b4e85445c432475c36e7f0ad521935eadcf60381eb6d9cc549730"
+    )
+
+
+def test_corpus_mms_values_and_witnesses_are_pinned():
+    # all 180 agents of corpus instances 0-59: the value, then each witness
+    # bundle (items sorted, in braces so empty bundles show) in returned order
+    lines = []
+    for idx in range(60):
+        for agent_id in ch.instance(idx).agent_ids:
+            res = ch.mms_of(idx, agent_id)
+            bundles = " ".join("{" + ",".join(sorted(bundle)) + "}" for bundle in res.witness)
+            lines.append(f"{idx} {agent_id} {res.value} {bundles}")
+    assert len(lines) == 180
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "083216c8a5cd3f81bac260958cc526a11de816d33d223441df3cdf30833acf39"
     )
 
 
