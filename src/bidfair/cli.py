@@ -362,6 +362,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 continue
             share = serialize.parse_rational(entry["share"])
             if "target_rho" in entry:  # play: value >= target_rho * share
+                kind = entry["share_kind"]
+                if kind not in ("aps", "mms"):
+                    raise serialize.ParseError(f"'share_kind' must be \"aps\" or \"mms\", not {kind!r}")
+                ratio = None if entry["ratio"] is None else serialize.parse_rational(entry["ratio"])
+                if ratio != (value / share if share > 0 else None):
+                    sys.stderr.write(f"recorded ratio for {agent} is wrong\n")
+                    return EXIT_FAIL
                 target = serialize.parse_rational(entry["target_rho"])
                 passed = True if share <= 0 else value >= target * share
             else:  # alloc: value >= (1 - epsilon) * rho * share

@@ -5,6 +5,12 @@ item count (default 12, overridable per call or via the BIDFAIR_SIZE_GUARD
 environment variable).  They are oracles for verifying game guarantees at
 desk scale, not production approximation algorithms.
 
+Both start from the values of all 2^m bundles.  Bundle ``mask`` is built from
+its lowest-bit predecessor, bundle ``mask ^ low`` with ``low`` the lowest set
+bit of mask, plus one item, and the oracle is queried in mask order.  The
+values are ranked on integer keys, each value times the lcm of the table's
+denominators, so no Fraction is hashed; the share is returned as a Fraction.
+
 The anyprice share of an agent with entitlement b is the largest value z for
 which bundle weights {lambda_T} exist with total weight 1, support restricted
 to bundles of value at least z, and per-item coverage at most b.  It is found
@@ -40,7 +46,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .model import FractionalPartition
 from .simplex import solve_lp
-from .valuations import SizeGuardExceeded, ValuationOracle
+from .valuations import SizeGuardExceeded, ValuationOracle, integer_keys
 
 
 class SizeGuardSettingError(ValueError):
@@ -76,17 +82,31 @@ def _mask_to_bundle(mask: int, items: Sequence[str]) -> frozenset[str]:
     return frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
 
 
+def _bundles(items: Sequence[str]) -> list[frozenset[str]]:
+    """All 2^m subsets, indexed by bitmask over the items.
+
+    Bundle ``mask`` is bundle ``mask ^ low`` plus one item, where ``low`` is
+    the lowest set bit of mask, so each bundle costs one union, not O(m).
+    """
+    singles = [frozenset((e,)) for e in items]
+    bundles = [frozenset()]
+    for mask in range(1, 1 << len(items)):
+        low = mask & -mask
+        bundles.append(bundles[mask ^ low] | singles[low.bit_length() - 1])
+    return bundles
+
+
 def value_table(v: ValuationOracle, items: Sequence[str]) -> list[Fraction]:
     """Values of all 2^m subsets, indexed by bitmask over the sorted items."""
-    return [v.value(_mask_to_bundle(mask, items)) for mask in range(1 << len(items))]
+    return [v.value(bundle) for bundle in _bundles(items)]
 
 
 def _ranked_table(v: ValuationOracle, items: Sequence[str]) -> tuple[list[Fraction], list[int]]:
     """The sorted distinct bundle values, and each mask's index into them."""
-    table = value_table(v, items)
-    candidates = sorted(set(table))
-    rank = {value: r for r, value in enumerate(candidates)}
-    return candidates, [rank[value] for value in table]
+    keys, common = integer_keys(value_table(v, items))
+    distinct = sorted(set(keys))
+    rank = {key: r for r, key in enumerate(distinct)}
+    return [Fraction(key, common) for key in distinct], [rank[key] for key in keys]
 
 
 def _is_monotone(ranks: Sequence[int], m: int) -> bool:
@@ -288,12 +308,14 @@ def best_affordable(
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     items = _checked_items(items, max_items)
-    m = len(items)
-    best = v.value(frozenset())  # the empty bundle costs nothing
-    for mask in range(1, 1 << m):
-        cost = sum(
-            (prices[items[i]] for i in range(m) if mask >> i & 1), Fraction(0)
-        )
-        if cost <= budget:
-            best = max(best, v.value(_mask_to_bundle(mask, items)))
-    return best
+    keys, _ = integer_keys([budget] + [prices[e] for e in items])
+    limit, scaled_prices = keys[0], keys[1:]
+    # each mask costs its lowest-bit predecessor's cost plus one price, the
+    # predecessor _bundles builds it from
+    bundles = _bundles(items)
+    costs = [0]
+    for mask in range(1, len(bundles)):
+        low = mask & -mask
+        costs.append(costs[mask ^ low] + scaled_prices[low.bit_length() - 1])
+    # the empty bundle costs nothing, so it is always affordable
+    return max(v.value(bundle) for bundle, cost in zip(bundles, costs) if cost <= limit)

@@ -14,7 +14,9 @@ accounting.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -23,6 +25,20 @@ Bundle = frozenset[str]
 
 class SizeGuardExceeded(ValueError):
     """Raised when an exhaustive check is asked to enumerate too many sets."""
+
+
+def integer_keys(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Each value times ``common``, the lcm of the denominators, and ``common``.
+
+    The keys are ints that order, compare and add as the values do, and
+    ``Fraction(key, common)`` is the value again.
+
+    >>> integer_keys([Fraction(1, 3), Fraction(-2, 5), Fraction(7)])
+    ([5, -6, 105], 15)
+    """
+    ratios = [x.as_integer_ratio() for x in values]
+    common = math.lcm(*{d for _, d in ratios})
+    return [n * (common // d) for n, d in ratios], common
 
 
 def _as_bundle(items: Iterable[str]) -> Bundle:
@@ -131,7 +147,16 @@ class RowSubstitutesValuation(ValuationOracle):
 
 
 class WeightedCoverageValuation(ValuationOracle):
-    """v(S) = total weight of the ground elements covered by S (submodular)."""
+    """v(S) = total weight of the ground elements covered by S (submodular).
+
+    The weights are scaled once, at the first evaluation, to integers over
+    their common denominator, so a query sums ints and builds a single
+    Fraction.
+
+    >>> v = WeightedCoverageValuation({"u": Fraction(1, 3), "w": Fraction(2, 5)}, {"a": ["u", "w"]})
+    >>> v.value({"a"})
+    Fraction(11, 15)
+    """
 
     def __init__(
         self,
@@ -145,11 +170,18 @@ class WeightedCoverageValuation(ValuationOracle):
         if unknown:
             raise ValueError(f"items cover unknown elements: {sorted(unknown)}")
 
+    @cached_property
+    def _scaled(self) -> tuple[dict[str, int], int]:
+        """Each element's weight times the common denominator, and that denominator."""
+        keys, common = integer_keys(list(self.element_weights.values()))
+        return dict(zip(self.element_weights, keys)), common
+
     def _value(self, bundle: Bundle) -> Fraction:
+        scaled, common = self._scaled
         covered: set[str] = set()
         for e in bundle:
             covered.update(self.covers.get(e, ()))
-        return sum((self.element_weights[u] for u in covered), Fraction(0))
+        return Fraction(sum(scaled[u] for u in covered), common)
 
 
 class TableValuation(ValuationOracle):

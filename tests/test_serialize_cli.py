@@ -427,6 +427,16 @@ def test_cli_verify_round_with_bids_list_is_input_error(tmp_path, capsys):
 MISSING = object()
 
 
+def _play_report(tmp_path):
+    """The path and document of a passing play report with APS guarantee entries."""
+    inst_path = tmp_path / "inst.json"
+    report_path = tmp_path / "report.json"
+    run_cli("gen", "random", "--seed", "2", "--agents", "2", "--items", "4", "-o", str(inst_path))
+    assert run_cli("play", str(inst_path), "--report-shares", "aps", "--target-rho", "1/3",
+                   "-o", str(report_path)) == 0
+    return report_path, json.loads(report_path.read_text())
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [
@@ -463,15 +473,15 @@ MISSING = object()
         (("guarantees", 0, "passed"), "no", "'passed' must be a boolean, not str"),
         (("guarantees", 0, "passed"), 1, "'passed' must be a boolean, not int"),
         (("guarantees", 0, "passed"), None, "'passed' must be a boolean, not NoneType"),
+        (("guarantees", 0, "share_kind"), 7, "'share_kind' must be \"aps\" or \"mms\", not 7"),
+        (("guarantees", 0, "share_kind"), "both", "'share_kind' must be \"aps\" or \"mms\", not 'both'"),
+        (("guarantees", 1, "share_kind"), MISSING, "bad guarantee entry: 'share_kind'"),
+        (("guarantees", 0, "ratio"), "banana", "bad rational 'banana'"),
+        (("guarantees", 1, "ratio"), MISSING, "bad guarantee entry: 'ratio'"),
     ],
 )
 def test_cli_verify_malformed_report_is_input_error(tmp_path, capsys, path, value, message):
-    inst_path = tmp_path / "inst.json"
-    report_path = tmp_path / "report.json"
-    run_cli("gen", "random", "--seed", "2", "--agents", "2", "--items", "4", "-o", str(inst_path))
-    assert run_cli("play", str(inst_path), "--report-shares", "aps", "--target-rho", "1/3",
-                   "-o", str(report_path)) == 0
-    doc = json.loads(report_path.read_text())
+    report_path, doc = _play_report(tmp_path)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -484,6 +494,28 @@ def test_cli_verify_malformed_report_is_input_error(tmp_path, capsys, path, valu
     assert run_cli("verify", str(report_path)) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "agent, changes, code",
+    [
+        (0, {"ratio": "7"}, 1),
+        (1, {"ratio": None}, 1),
+        (0, {"share": "0"}, 1),  # a share <= 0 has no ratio
+        (1, {"ratio": "2/2"}, 0),  # any spelling of value/share
+        (1, {"share_kind": "mms"}, 0),
+    ],
+)
+def test_cli_verify_checks_the_recorded_ratio(tmp_path, capsys, agent, changes, code):
+    report_path, doc = _play_report(tmp_path)
+    entry = doc["guarantees"][agent]
+    assert entry["ratio"] == ("11/14", "1/1")[agent]
+    entry.update(changes)
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", str(report_path)) == code
+    if code:
+        assert capsys.readouterr().err == f"recorded ratio for {entry['agent']} is wrong\n"
 
 
 @pytest.mark.parametrize(

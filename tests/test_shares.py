@@ -13,6 +13,7 @@ from bidfair.model import FractionalPartition
 from bidfair.shares import (
     SizeGuardSettingError,
     _proper_subset_ranks,
+    _ranked_table,
     aps_exact,
     aps_unit_demand,
     best_affordable,
@@ -390,3 +391,75 @@ def test_doctests():
     for mod in (shares_mod, val_mod, neg_mod):
         failures, _ = doctest.testmod(mod)
         assert failures == 0
+
+
+class RecordingTable(TableValuation):
+    """A table oracle that records every bundle it evaluates, in order."""
+
+    def __init__(self, items, table):
+        super().__init__(items, table)
+        self.evaluated = []
+
+    def _value(self, bundle):
+        self.evaluated.append(bundle)
+        return super()._value(bundle)
+
+
+@st.composite
+def mixed_tables(draw, max_items=5):
+    """Recording tables over m <= max_items items whose values are drawn from a
+    small pool of rationals with mixed denominators and signs, so they repeat."""
+    m = draw(st.integers(min_value=0, max_value=max_items))
+    items = [f"e{j}" for j in range(m)]
+    pool = draw(st.lists(st.fractions(min_value=-3, max_value=5, max_denominator=7), min_size=1, max_size=6))
+    table = {
+        frozenset(items[j] for j in range(m) if mask >> j & 1): draw(st.sampled_from(pool))
+        for mask in range(1 << m)
+    }
+    return RecordingTable(items, table), items
+
+
+def mask_bundle(mask, items):
+    return frozenset(items[j] for j in range(len(items)) if mask >> j & 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=mixed_tables())
+def test_value_table_matches_the_per_mask_construction(instance):
+    v, items = instance
+    reference = RecordingTable(items, v.table)
+    expected = [reference.value(mask_bundle(mask, items)) for mask in range(1 << len(items))]
+    assert value_table(v, items) == expected
+    assert v.evaluated == reference.evaluated
+    assert v.query_count == reference.query_count == 1 << len(items)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=mixed_tables())
+def test_ranked_table_matches_ranking_the_fractions(instance):
+    v, items = instance
+    table = [v.table[mask_bundle(mask, items)] for mask in range(1 << len(items))]
+    candidates = sorted(set(table))
+    rank = {value: r for r, value in enumerate(candidates)}
+    got_candidates, got_ranks = _ranked_table(v, items)
+    assert got_candidates == candidates
+    assert all(type(x) is Fraction for x in got_candidates)
+    assert got_ranks == [rank[value] for value in table]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    instance=mixed_tables(),
+    raw_prices=st.lists(st.fractions(min_value=-1, max_value=3, max_denominator=6), min_size=5, max_size=5),
+    budget=st.fractions(min_value=0, max_value=4, max_denominator=5),
+)
+def test_best_affordable_matches_brute_force(instance, raw_prices, budget):
+    v, items = instance
+    prices = dict(zip(items, raw_prices))
+    affordable = [
+        mask_bundle(mask, items)
+        for mask in range(1 << len(items))
+        if sum((prices[items[j]] for j in range(len(items)) if mask >> j & 1), Fraction(0)) <= budget
+    ]
+    assert best_affordable(v, items, prices, budget) == max(v.table[b] for b in affordable)
+    assert v.evaluated == affordable  # the affordable bundles only, in mask order

@@ -179,3 +179,29 @@ def test_table_valuation_missing_entry():
     v = TableValuation(["e1"], {frozenset(): 0})
     with pytest.raises(KeyError):
         v.value({"e1"})
+
+
+_WEIGHTS = st.sampled_from([Fraction(1, 3), Fraction(2, 5), Fraction(7), Fraction(0), Fraction(5, 6)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(["u1", "u2", "u3", "u4"]), _WEIGHTS, max_size=4),
+    st.data(),
+)
+def test_coverage_value_is_the_fraction_sum_of_covered_weights(weights, data):
+    # the integer sum over the common denominator against a plain Fraction
+    # sum, an empty element set included
+    elements = sorted(weights)
+    covers = {e: data.draw(st.sets(st.sampled_from(elements)) if elements else st.just(set()))
+              for e in ("a", "b", "c")}
+    v = WeightedCoverageValuation(weights, covers)
+    for bundle in data.draw(st.lists(st.frozensets(st.sampled_from(["a", "b", "c", "z"])), max_size=6)):
+        covered = set().union(*(covers.get(e, set()) for e in bundle))
+        got = v.value(bundle)
+        assert got == sum((weights[u] for u in covered), Fraction(0)) and type(got) is Fraction
+
+
+def test_coverage_over_no_elements_is_zero():
+    v = WeightedCoverageValuation({}, {"a": []})
+    assert v.value({"a"}) == 0 == v.value(set())
