@@ -351,6 +351,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except RuleViolation as exc:
         sys.stderr.write(f"transcript does not verify: {exc}\n")
         return EXIT_FAIL
+    unmet = None  # the first agent whose recorded guarantee failed
     try:
         for entry in guarantees:
             agent = entry["agent"]
@@ -377,8 +378,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if serialize._typed(entry, "passed", bool, True) != passed:
                 sys.stderr.write(f"guarantee flag for {agent} is wrong\n")
                 return EXIT_FAIL
+            if not passed and unmet is None:
+                unmet = agent
     except (KeyError, TypeError, serialize.ParseError) as exc:
         raise InputError(f"bad guarantee entry: {exc}") from exc
+    if unmet is not None:
+        sys.stderr.write(f"guarantee for {unmet} not met\n")
+        return EXIT_FAIL
     sys.stdout.write("report verified\n")
     return EXIT_OK
 

@@ -16,6 +16,12 @@ needing the strategies.  Playing, replaying and verifying all advance one
 ledger of the game state, whose ``apply`` checks a round against the rules,
 raising ``RuleViolation`` on the first broken one, and then updates budgets,
 spend, bundles, the remaining items and who is still active.
+
+Bids are compared as exact ints, never by building a ``Fraction`` per bid: a
+bid against its budget by the sign of its numerator and one
+cross-multiplication (``_clamp``), and the bids of a round against each other
+over their common denominator (``_top_bid``, the one routine that decides the
+top bid, for play and check alike).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .model import Allocation, GameState, Instance
+from .valuations import integer_keys
 
 MODES = ("standard", "altruistic", "multi_pick")
 TIE_POLICIES = ("lexicographic", "seeded", "adversarial", "scripted")
@@ -131,6 +138,35 @@ class Transcript:
     violations: tuple[str, ...] = ()
 
 
+_ZERO = Fraction(0)
+
+
+def _clamp(bid: Fraction, budget: Fraction) -> Fraction:
+    """``bid`` clamped to ``[0, budget]``: the bid object itself when it lies
+    there, so ``_clamp(bid, budget) is bid`` tells whether it does.
+
+    >>> _clamp(Fraction(-1, 3), Fraction(1, 2)), _clamp(2, Fraction(1, 2)), _clamp(0, 1)
+    (Fraction(0, 1), Fraction(1, 2), 0)
+    """
+    n, d = bid.as_integer_ratio()
+    if n < 0:
+        return _ZERO
+    p, q = budget.as_integer_ratio()
+    return budget if n * q > p * d else bid
+
+
+def _top_bid(bids: Mapping[str, Fraction]) -> tuple[Fraction, list[str]]:
+    """The top bid and the agents that hold it, in bid order.
+
+    >>> _top_bid({"a": Fraction(1, 3), "b": 0, "c": Fraction(2, 6)})
+    (Fraction(1, 3), ['a', 'c'])
+    """
+    keys, _ = integer_keys(bids.values())
+    top = max(keys)
+    pool = [agent for agent, key in zip(bids, keys) if key == top]
+    return bids[pool[0]], pool
+
+
 class _TieBreaker:
     def __init__(self, tie: TieBreak):
         self.tie = tie
@@ -198,10 +234,9 @@ class _Ledger:
                 odd = sorted(set(rnd.bids) ^ bidders)[0]
                 raise broken("bidders", odd, "the bidders must be exactly the active agents")
             for agent, bid in rnd.bids.items():
-                if not 0 <= bid <= self.budgets[agent]:
+                if _clamp(bid, self.budgets[agent]) is not bid:
                     raise broken("bid range", agent, f"bid {bid} outside [0, {self.budgets[agent]}]")
-            top = max(rnd.bids.values())
-            pool = [a for a, b in rnd.bids.items() if b == top]
+            top, pool = _top_bid(rnd.bids)
             if winner not in pool:
                 raise broken("winner", winner, f"does not hold the top bid {top}")
             if self.breaker.choose(pool, number) != winner:
@@ -277,16 +312,16 @@ def run_game(
         for agent_id in ids:
             if not ledger.active[agent_id]:
                 continue
-            bid = Fraction(strategies[agent_id].bid(state))
-            legal = min(max(bid, Fraction(0)), ledger.budgets[agent_id])
-            if legal != bid:
+            bid = strategies[agent_id].bid(state)
+            if type(bid) is not Fraction:
+                bid = Fraction(bid)
+            legal = _clamp(bid, ledger.budgets[agent_id])
+            if legal is not bid:
                 violations.append(
                     f"round {round_number}: bid {bid} by {agent_id} clamped to {legal}"
                 )
             bids[agent_id] = legal
-        top = max(bids.values())
-        pool = [a for a, b in bids.items() if b == top]
-        winner = ledger.breaker.choose(pool, round_number)
+        winner = ledger.breaker.choose(_top_bid(bids)[1], round_number)
 
         picks = tuple(strategies[winner].pick(state))
         if config.mode == "multi_pick" and bids[winner] > 0:

@@ -207,19 +207,20 @@ class XosSniperBidder(Strategy):
         for e in sorted(self.column_of):
             self.column_items.setdefault(self.column_of[e], []).append(e)
 
+    def _victim_columns(self, state: PublicState) -> list[list[str]]:
+        """The items of every column the victim holds an item of."""
+        return [self.column_items[c] for c in {self.column_of[e] for e in state.bundles[self.victim]}]
+
     def _targets(self, state: PublicState) -> list[str]:
         """The remaining items of the victim's columns, in ascending order."""
-        victim_columns = {self.column_of[e] for e in state.bundles[self.victim]}
         remaining = state.remaining  # ascending, as the engine gives it
         return sorted(
-            e
-            for column in victim_columns
-            for e in self.column_items[column]
-            if still_remaining(remaining, e)
+            e for column in self._victim_columns(state) for e in column if still_remaining(remaining, e)
         )
 
     def bid(self, state: PublicState) -> Fraction:
-        if self._targets(state):
+        remaining = state.remaining
+        if any(still_remaining(remaining, e) for column in self._victim_columns(state) for e in column):
             return state.budgets[self.agent_id]
         return Fraction(0)
 

@@ -27,7 +27,7 @@ class SizeGuardExceeded(ValueError):
     """Raised when an exhaustive check is asked to enumerate too many sets."""
 
 
-def integer_keys(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def integer_keys(values: Iterable[Fraction]) -> tuple[list[int], int]:
     """Each value times ``common``, the lcm of the denominators, and ``common``.
 
     The keys are ints that order, compare and add as the values do, and

@@ -1,24 +1,30 @@
 """Game engine mechanics: rounds, ties, deactivation, replay verification."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bidfair import serialize
 from bidfair.engine import (
     MODES,
     GameConfig,
+    PublicState,
     Round,
     RuleViolation,
     StrategyError,
     TieBreak,
+    Transcript,
+    _Ledger,
     check_transcript,
     run_game,
     state_after,
     verify_transcript,
 )
 from bidfair.model import make_instance
+from bidfair.negatives import gen_xos_hard
 from bidfair.strategies import (
     ConstantBidder,
     GreedyMarginalBidder,
@@ -418,3 +424,217 @@ def test_each_rule_names_its_round_and_agent(forge, rule, number, agent, detail)
         check_transcript(forge(tr), inst)
     assert (caught.value.rule, caught.value.round, caught.value.agent) == (rule, number, agent)
     assert detail in caught.value.detail
+
+
+# -- bids compared as ints: equivalence with the Fraction loop, range edges, pins
+
+def run_game_reference(instance, strategies, config):
+    """``run_game`` as it was when it compared bids as ``Fraction``s: every bid
+    re-wrapped, clamped by ``min``/``max`` and the top bid found by ``max``."""
+    ids = instance.agent_ids
+    for agent_id in ids:
+        strategies[agent_id].start(agent_id, instance, config)
+    ledger = _Ledger(instance, config, check_bids=False)
+    history, rounds, violations = [], [], []
+    while not ledger.over:
+        round_number = ledger.round + 1
+        state = PublicState(
+            round=round_number,
+            remaining=tuple(sorted(ledger.remaining)),
+            budgets=dict(ledger.budgets),
+            bundles=dict(ledger.bundles),
+            bid_history=tuple(history),
+        )
+        bids = {}
+        for agent_id in ids:
+            if not ledger.active[agent_id]:
+                continue
+            bid = Fraction(strategies[agent_id].bid(state))
+            legal = min(max(bid, Fraction(0)), ledger.budgets[agent_id])
+            if legal != bid:
+                violations.append(f"round {round_number}: bid {bid} by {agent_id} clamped to {legal}")
+            bids[agent_id] = legal
+        top = max(bids.values())
+        pool = [a for a, b in bids.items() if b == top]
+        winner = ledger.breaker.choose(pool, round_number)
+        picks = tuple(strategies[winner].pick(state))
+        if config.mode == "multi_pick" and bids[winner] > 0:
+            affordable = int(ledger.budgets[winner] / bids[winner])
+            if len(picks) > affordable:
+                violations.append(f"round {round_number}: {winner} afforded only {affordable} picks")
+                picks = picks[:affordable]
+        rnd = Round(round_number, dict(bids), winner, picks, bids[winner] * len(picks))
+        ledger.apply(rnd)
+        history.append(dict(bids))
+        rounds.append(rnd)
+    transcript = Transcript(
+        config=config,
+        rounds=tuple(rounds),
+        allocation=dict(ledger.bundles),
+        agent_ids=ids,
+        unallocated=tuple(sorted(ledger.remaining)),
+        violations=tuple(violations),
+    )
+    return dict(ledger.bundles), transcript
+
+
+LEVELS = [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+
+
+def drawn_bid(kind, arg, budget):
+    """One bid of a ``DrawnBidder``: ``arg`` indexes ``LEVELS`` or scales the budget."""
+    level = LEVELS[arg % len(LEVELS)]
+    if kind == "int":
+        return arg - 1  # -1, 0, 1, 2, ...
+    if kind == "fraction":
+        return level
+    if kind == "float":  # 1/3 is inexact as a float: a bid just off the level
+        return float(level)
+    if kind == "sum":  # the level again, reached through other arithmetic
+        return level / 3 + level * Fraction(2, 3)
+    if kind == "negative":
+        return -level - Fraction(1, 10**12)
+    if kind == "budget":
+        return budget
+    if kind == "over":
+        return budget + Fraction(1, 10**12) + level
+    if kind == "budget share":  # equal budgets give equal bids
+        return budget * Fraction(arg % 5, 4)
+    return float(budget)  # "budget float"
+
+
+BID_KINDS = ["int", "fraction", "float", "sum", "negative", "budget", "over", "budget share", "budget float"]
+
+
+class DrawnBidder(ZeroBidder):
+    """Bids from a drawn script of (kind, arg), one a round, cycling; picks
+    the ``k``-th remaining item and, in a multi-pick game, ``k`` items."""
+
+    def __init__(self, script, k, multi):
+        self.script, self.k, self.multi = script, k, multi
+
+    def bid(self, state):
+        kind, arg = self.script[(state.round - 1) % len(self.script)]
+        return drawn_bid(kind, arg, state.budgets[self.agent_id])
+
+    def pick(self, state):
+        remaining = state.remaining
+        if self.multi:
+            return remaining[: self.k]
+        return [remaining[self.k % len(remaining)]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mode=st.sampled_from(MODES),
+    policy=st.sampled_from(["lexicographic", "seeded", "adversarial", "scripted"]),
+    strict=st.booleans(),
+    m=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_run_game_matches_the_fraction_reference(mode, policy, strict, m, data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    ids = [f"a{i}" for i in range(n)]
+    weights = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
+    items = [f"e{j}" for j in range(m)]
+    v = AdditiveValuation({e: 1 for e in items})
+    inst = make_instance(items, [(a, Fraction(w, sum(weights)), v) for a, w in zip(ids, weights)])
+    prefs = tuple(tuple(data.draw(st.permutations(ids))) for _ in range(m))
+    tie = TieBreak(
+        policy,
+        seed=data.draw(st.integers(0, 99)) if policy == "seeded" else None,
+        target=data.draw(st.sampled_from(ids)) if policy == "adversarial" else None,
+        prefs=prefs if policy == "scripted" else (),
+    )
+    rho = data.draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1)])) if mode == "altruistic" else None
+    config = GameConfig(mode=mode, rho=rho, strict_threshold=strict, tie=tie)
+    step = st.tuples(st.sampled_from(BID_KINDS), st.integers(min_value=0, max_value=7))
+    plans = [(data.draw(st.lists(step, min_size=1, max_size=4)), data.draw(st.integers(1, 3))) for _ in ids]
+
+    def players():
+        return {a: DrawnBidder(script, k, mode == "multi_pick") for a, (script, k) in zip(ids, plans)}
+
+    got = run_game(inst, players(), config)
+    want = run_game_reference(inst, players(), config)
+    assert got == want  # bids, winners, picks, payments and violation strings
+    assert all(type(b) is Fraction for r in got[1].rounds for b in r.bids.values())
+    assert verify_transcript(got[1], inst)
+
+
+@pytest.mark.parametrize(
+    "bids, winner, rule, detail",
+    [
+        ({"a0": Fraction(1, 2), "a1": Fraction(0)}, "a0", None, None),  # exactly the budget
+        ({"a0": Fraction(1, 2) + Fraction(1, 10**12), "a1": Fraction(0)}, "a0", "bid range",
+         "bid 500000000001/1000000000000 outside [0, 1/2]"),
+        ({"a0": -Fraction(1, 10**12), "a1": Fraction(0)}, "a1", "bid range",
+         "bid -1/1000000000000 outside [0, 1/2]"),
+        ({"a0": 0, "a1": 0}, "a0", None, None),  # int bids
+        ({"a0": 0, "a1": Fraction(0)}, "a0", None, None),
+        ({"a0": 1, "a1": 0}, "a0", "bid range", "bid 1 outside [0, 1/2]"),
+        ({"a0": 0, "a1": -1}, "a0", "bid range", "bid -1 outside [0, 1/2]"),
+        ({"a0": 0.5, "a1": 0}, "a0", None, None),
+        ({"a0": 0.5000001, "a1": 0}, "a0", "bid range", "bid 0.5000001 outside [0, 1/2]"),
+        ({"a0": Fraction(1, 4), "a1": 0}, "a1", "winner", "does not hold the top bid 1/4"),
+        ({"a0": 0, "a1": Fraction(1, 2)}, "a0", "winner", "does not hold the top bid 1/2"),
+        ({"a0": Fraction(1, 4), "a1": 0.25}, "a1", "tie-break", "the lexicographic policy picks another"),
+    ],
+)
+def test_hand_built_bids_are_checked_exactly(bids, winner, rule, detail):
+    inst = two_agent_instance()
+    ledger = _Ledger(inst, GameConfig())
+    rnd = Round(1, bids, winner, ("e1",), bids[winner])
+    if rule is None:
+        ledger.apply(rnd)
+        assert ledger.budgets[winner] == Fraction(1, 2) - bids[winner]
+        return
+    with pytest.raises(RuleViolation) as caught:
+        ledger.apply(rnd)
+    assert (caught.value.rule, caught.value.round, caught.value.detail) == (rule, 1, detail)
+
+
+def _equal_budget_game(strategy, **tie):
+    """Three agents of budget 1/3 each, so equal strategies tie."""
+    v = AdditiveValuation({f"e{j}": j + 1 for j in range(6)})
+    inst = make_instance([f"e{j}" for j in range(6)], [(f"a{i}", Fraction(1, 3), v) for i in range(3)])
+    strategies = {a: strategy(i) for i, a in enumerate(inst.agent_ids)}
+    return run_game(inst, strategies, GameConfig(tie=TieBreak(**tie)))
+
+
+@pytest.mark.parametrize(
+    "play, digest",
+    [
+        pytest.param(
+            lambda: gen_xos_hard(16, 2).execute(),
+            "a65fe43a742098232f47a59f31cefba37620d2660c7a95d32223be54b150b847",
+            id="xos-hard-16-2",
+        ),
+        pytest.param(
+            lambda: _equal_budget_game(lambda i: RandomBidder(i % 2), policy="seeded", seed=5),
+            "a3fe2db79c1ec510be0230c48c489f5ac6824e772d4c7c0e789f8de1f97a07bf",
+            id="random-seeded",
+        ),
+        pytest.param(
+            lambda: _equal_budget_game(lambda i: RandomBidder(7), policy="adversarial", target="a1"),
+            "9595bea41f70947bf8e311d0883921e4b1a4153e03cb553427e229ba3f18c308",
+            id="random-adversarial",
+        ),
+        pytest.param(
+            lambda: _equal_budget_game(lambda i: ConstantBidder(Fraction(1, 9))),
+            "f15873a5ba1144dddb293383dcf61ca538c1158ee59793e4e638e206ff1a1cde",
+            id="constant-lexicographic",
+        ),
+        pytest.param(
+            lambda: _equal_budget_game(
+                lambda i: ConstantBidder(Fraction(1, 9)), policy="scripted", prefs=(("a2",), ("a1", "a2"))
+            ),
+            "d3deac7056207cb80383e8a32c8d4dbe1d701c427e4269a8bba54fd655a64324",
+            id="constant-scripted",
+        ),
+    ],
+)
+def test_transcripts_are_pinned(play, digest):
+    # SHA-256 of the serialized transcript, recorded when bids were compared as Fractions
+    _, tr = play()
+    text = serialize.dumps(serialize.transcript_to_dict(tr))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -518,6 +518,23 @@ def test_cli_verify_checks_the_recorded_ratio(tmp_path, capsys, agent, changes, 
         assert capsys.readouterr().err == f"recorded ratio for {entry['agent']} is wrong\n"
 
 
+@pytest.mark.parametrize("target_rho, code", [("1/3", 0), ("100", 1)])
+def test_cli_verify_fails_a_report_that_records_a_failure(tmp_path, capsys, target_rho, code):
+    # a consistent report whose guarantee entries say "passed": false gets the
+    # guarantee-failure code, as play itself did
+    inst_path = tmp_path / "inst.json"
+    report_path = tmp_path / "report.json"
+    run_cli("gen", "random", "--seed", "2", "--agents", "2", "--items", "4", "-o", str(inst_path))
+    assert run_cli("play", str(inst_path), "--report-shares", "aps", "--target-rho", target_rho,
+                   "-o", str(report_path)) == code
+    passed = [entry["passed"] for entry in json.loads(report_path.read_text())["guarantees"]]
+    assert passed == [not code, not code]
+    capsys.readouterr()
+    assert run_cli("verify", str(report_path)) == code
+    out, err = capsys.readouterr()
+    assert (out, err) == (("report verified\n", "") if code == 0 else ("", "guarantee for a0 not met\n"))
+
+
 @pytest.mark.parametrize(
     "path, value",
     [(("rounds",), {}), (("rounds", 0, "bids"), "1/2"), (("rounds", 0, "items"), {"e0": 1}),
