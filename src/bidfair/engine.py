@@ -15,7 +15,7 @@ and ``verify_transcript`` re-checks a transcript against the rules without
 needing the strategies.  Playing, replaying and verifying all advance one
 ledger of the game state, whose ``apply`` checks a round against the rules,
 raising ``RuleViolation`` on the first broken one, and then updates budgets,
-spend, bundles, the remaining items and who is still active.
+bundles, the remaining items and who is still active.
 
 Bids are compared as exact ints, never by building a ``Fraction`` per bid: a
 bid against its budget by the sign of its numerator and one
@@ -204,10 +204,10 @@ class _Ledger:
         self.config = config
         self.entitlements = {a.id: a.entitlement for a in instance.agents}
         self.budgets = dict(self.entitlements)
-        self.spent = {i: Fraction(0) for i in self.budgets}
         self.bundles: dict[str, frozenset[str]] = {i: frozenset() for i in self.budgets}
         self.active = {i: True for i in self.budgets}
-        self.remaining = set(instance.items)
+        # the instance's items are sorted, and deleting keys keeps a dict's order
+        self.remaining = dict.fromkeys(instance.items)
         self.round = 0
         self.breaker = _TieBreaker(config.tie)
         self.check_bids = check_bids
@@ -258,12 +258,12 @@ class _Ledger:
             raise broken("budget", winner, f"paid {payment} from a budget of {budget}")
 
         self.budgets[winner] -= payment
-        self.spent[winner] += payment
         self.bundles[winner] = self.bundles[winner] | set(picks)
-        self.remaining -= set(picks)
+        for e in picks:
+            del self.remaining[e]
         if self.config.mode == "altruistic":
             limit = self.config.rho * self.entitlements[winner]
-            spent = self.spent[winner]
+            spent = self.entitlements[winner] - self.budgets[winner]
             done = spent > limit if self.config.strict_threshold else spent >= limit
         else:
             done = self.budgets[winner] == 0
@@ -278,7 +278,7 @@ class _Ledger:
             budgets=dict(self.budgets),
             bundles=dict(self.bundles),
             active=dict(self.active),
-            spent=dict(self.spent),
+            spent={i: self.entitlements[i] - budget for i, budget in self.budgets.items()},
         )
 
 
@@ -303,7 +303,7 @@ def run_game(
         round_number = ledger.round + 1
         state = PublicState(
             round=round_number,
-            remaining=tuple(sorted(ledger.remaining)),
+            remaining=tuple(ledger.remaining),
             budgets=dict(ledger.budgets),
             bundles=dict(ledger.bundles),
             bid_history=tuple(history),
@@ -342,7 +342,7 @@ def run_game(
         rounds=tuple(rounds),
         allocation=dict(ledger.bundles),
         agent_ids=ids,
-        unallocated=tuple(sorted(ledger.remaining)),
+        unallocated=tuple(ledger.remaining),
         violations=tuple(violations),
     )
     return dict(ledger.bundles), transcript
@@ -379,7 +379,7 @@ def check_transcript(transcript: Transcript, instance: Instance) -> None:
     wrong = sorted(a for a in set(recorded) | set(won) if recorded.get(a) != won.get(a))
     if wrong:
         raise RuleViolation(played, "allocation", wrong[0], "recorded bundle differs from the items won")
-    if set(transcript.unallocated) != ledger.remaining:
+    if set(transcript.unallocated) != ledger.remaining.keys():
         raise RuleViolation(played, "unallocated", None, "recorded items differ from the items left")
 
 

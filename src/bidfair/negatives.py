@@ -207,26 +207,23 @@ class XosSniperBidder(Strategy):
         for e in sorted(self.column_of):
             self.column_items.setdefault(self.column_of[e], []).append(e)
 
-    def _victim_columns(self, state: PublicState) -> list[list[str]]:
-        """The items of every column the victim holds an item of."""
-        return [self.column_items[c] for c in {self.column_of[e] for e in state.bundles[self.victim]}]
-
-    def _targets(self, state: PublicState) -> list[str]:
-        """The remaining items of the victim's columns, in ascending order."""
+    def _target(self, state: PublicState) -> str | None:
+        """The first remaining item of a column the victim holds an item of."""
         remaining = state.remaining  # ascending, as the engine gives it
-        return sorted(
-            e for column in self._victim_columns(state) for e in column if still_remaining(remaining, e)
+        columns = {self.column_of[e] for e in state.bundles[self.victim]}
+        return min(
+            (e for c in columns for e in self.column_items[c] if still_remaining(remaining, e)),
+            default=None,
         )
 
     def bid(self, state: PublicState) -> Fraction:
-        remaining = state.remaining
-        if any(still_remaining(remaining, e) for column in self._victim_columns(state) for e in column):
-            return state.budgets[self.agent_id]
-        return Fraction(0)
+        if self._target(state) is None:
+            return Fraction(0)
+        return state.budgets[self.agent_id]
 
     def pick(self, state: PublicState) -> Sequence[str]:
-        targets = self._targets(state)
-        return [targets[0] if targets else state.remaining[0]]
+        target = self._target(state)
+        return [state.remaining[0] if target is None else target]
 
 
 def gen_xos_hard(n: int, k: int) -> ScriptedRun:

@@ -28,12 +28,15 @@ search places the items in order, each into a used bundle or the first empty
 one, and compares integer ranks (indices into the sorted distinct values), not
 Fractions.  It starts from its first leaf and replaces its incumbent only on a
 strict improvement, so it returns the first best partition in search order.
-When the table is monotone (one O(m 2^m) pass decides), no leaf below a node
-beats giving all unplaced items to each bundle at once, so a node whose
-min_k rank(block_k | unplaced) is at most the incumbent is cut: its leaves
-could at best tie, never replace, so value and witness are those of the full
-search.  The bound uses only monotonicity, whatever v(empty) is; a table that
-is not monotone is searched in full.
+Below a node, bundle k ends up between block_k and block_k | unplaced, so its
+rank is at most reach(block_k | unplaced), the highest rank of any subset of
+that set.  A node whose min_k reach(block_k | unplaced) is at most the
+incumbent is cut: its leaves could at best tie, never replace, so value and
+witness are those of the full search, on every table.
+
+One subset closure serves both shares: for every mask, the highest rank of
+any proper subset (the APS columns) and of any subset (the MMS bound), built
+with one pass per item.
 """
 
 from __future__ import annotations
@@ -109,16 +112,6 @@ def _ranked_table(v: ValuationOracle, items: Sequence[str]) -> tuple[list[Fracti
     return [Fraction(key, common) for key in distinct], [rank[key] for key in keys]
 
 
-def _is_monotone(ranks: Sequence[int], m: int) -> bool:
-    """True iff adding an item to a bundle never lowers its value."""
-    return all(
-        ranks[mask] <= ranks[mask | 1 << i]
-        for mask in range(len(ranks))
-        for i in range(m)
-        if not mask >> i & 1
-    )
-
-
 def mms_exact(
     v: ValuationOracle, n: int, items: Iterable[str], max_items: int | None = None
 ) -> ShareResult:
@@ -128,7 +121,7 @@ def mms_exact(
     items = _checked_items(items, max_items)
     m = len(items)
     candidates, ranks = _ranked_table(v, items)
-    prune = _is_monotone(ranks, m)
+    _, reach = _closure(ranks, m)
     full = (1 << m) - 1
     # start at the search's first leaf, every item in the first bundle, so the
     # witness is a partition however low the values are
@@ -144,12 +137,11 @@ def mms_exact(
                 best = worst
                 best_blocks = tuple(blocks)
             return
-        # on a monotone table no leaf below beats giving the unplaced items
-        # i.. to each bundle at once
-        if prune:
-            rest = full >> i << i
-            if min(ranks[b | rest] for b in blocks) <= best:
-                return
+        # below this node bundle k ends up between b and b | rest, the unplaced
+        # items i.. added, and no set in between ranks above reach[b | rest]
+        rest = full >> i << i
+        if min(reach[b | rest] for b in blocks) <= best:
+            return
         for idx in range(min(used + 1, n)):
             blocks[idx] |= 1 << i
             search(i + 1, max(used, idx + 1))
@@ -160,21 +152,25 @@ def mms_exact(
     return ShareResult(candidates[best], witness)
 
 
-def _proper_subset_ranks(ranks: Sequence[int], m: int) -> list[int]:
-    """For each mask, the highest rank of any proper subset (-1 for the empty mask).
+def _closure(ranks: Sequence[int], m: int) -> tuple[list[int], list[int]]:
+    """For each mask, the highest rank of any proper subset (``below``, -1 for
+    the empty mask) and of any subset, the mask itself included (``reach``).
 
-    One-bit-removal DP: every proper subset of a mask lies inside some
-    mask minus one item, so ``reach[mask]``, the highest rank of any subset
-    of mask including itself, is built from the one-item-smaller masks.
+    >>> _closure([0, 2, 1, 1], 2)
+    ([-1, 0, 0, 2], [0, 2, 1, 2])
     """
-    below = [-1] * len(ranks)
     reach = list(ranks)
-    for mask in range(1, len(ranks)):
-        top = max(reach[mask ^ (1 << i)] for i in range(m) if mask >> i & 1)
-        below[mask] = top
-        if top > reach[mask]:
-            reach[mask] = top
-    return below
+    below = [-1] * len(ranks)
+    # one pass per item: each mask holding the item takes the larger of its
+    # own entry and reach of the mask without it, first into reach itself,
+    # then into below from the finished reach
+    for closed in (reach, below):
+        for i in range(m):
+            bit = 1 << i
+            for mask in range(len(ranks)):
+                if mask & bit and reach[mask ^ bit] > closed[mask]:
+                    closed[mask] = reach[mask ^ bit]
+    return below, reach
 
 
 def _packing_witness(
@@ -217,7 +213,7 @@ def aps_exact(
         raise ValueError("entitlement must lie in (0, 1]")
     items = _checked_items(items, max_items)
     candidates, ranks = _ranked_table(v, items)
-    below = _proper_subset_ranks(ranks, len(items))
+    below, _ = _closure(ranks, len(items))
 
     # every z <= v(empty) is witnessed by putting all weight on the empty bundle
     lo = ranks[0]

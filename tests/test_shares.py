@@ -12,7 +12,7 @@ import corpus_helpers as ch
 from bidfair.model import FractionalPartition
 from bidfair.shares import (
     SizeGuardSettingError,
-    _proper_subset_ranks,
+    _closure,
     _ranked_table,
     aps_exact,
     aps_unit_demand,
@@ -241,14 +241,15 @@ def test_aps_below_zero_when_the_empty_bundle_is_negative():
     assert verify_fractional_partition(res.witness, v, Fraction(1, 2), res.value)
 
 
-def test_proper_subset_ranks_match_brute_force():
+def test_closure_matches_brute_force():
     rng = random.Random(4)
-    for m in range(7):
+    for m in range(8):
         ranks = [rng.randint(0, 5) for _ in range(1 << m)]
-        below = _proper_subset_ranks(ranks, m)
+        below, reach = _closure(ranks, m)
         for mask in range(1 << m):
             proper = [ranks[sub] for sub in range(mask) if sub & mask == sub]
             assert below[mask] == max(proper, default=-1)
+            assert reach[mask] == max(proper + [ranks[mask]])
 
 
 @st.composite
@@ -336,6 +337,22 @@ def test_mms_matches_the_unpruned_fraction_search(instance, n):
     v, items = instance
     res = mms_exact(v, n, items)
     assert (res.value, res.witness) == mms_reference(v, n, items)
+
+
+def test_mms_matches_the_unpruned_search_on_a_large_table_that_is_not_monotone():
+    # 10 items into 4 bundles, beyond what the Hypothesis tables draw: each
+    # bundle is worth its size plus noise in -3..3, so adding an item can lower
+    # a value, and a bound on the bundles' own ranks would cut the best leaves
+    rng = random.Random(0)
+    items = [f"e{j}" for j in range(10)]
+    table = {
+        frozenset(items[j] for j in range(10) if mask >> j & 1): bin(mask).count("1") + rng.randint(-3, 3)
+        for mask in range(1 << 10)
+    }
+    v = TableValuation(items, table)
+    res = mms_exact(v, 4, items)
+    assert (res.value, res.witness) == mms_reference(v, 4, items)
+    assert res.value == 5
 
 
 def test_best_affordable_below_zero_and_negative_budget():
