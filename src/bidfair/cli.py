@@ -28,7 +28,7 @@ from .analysis import (
 )
 from .engine import GameConfig, RuleViolation, TieBreak, check_transcript, run_game
 from .model import AgentSpec, Instance
-from .shares import SizeGuardSettingError, aps_exact, aps_unit_demand, mms_exact
+from .shares import aps_exact, aps_unit_demand, mms_exact
 from .strategies import (
     AltruisticProportionalBidder,
     ConstantBidder,
@@ -38,7 +38,7 @@ from .strategies import (
     UnitDemandFullBudgetBidder,
     ZeroBidder,
 )
-from .valuations import SizeGuardExceeded, UnitDemandValuation
+from .valuations import SizeGuardExceeded, SizeGuardSettingError, UnitDemandValuation
 from .wrapper import (
     ContractViolation,
     default_epsilon,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Any, Mapping
 
@@ -43,9 +44,16 @@ def rational_str(x: Fraction | int) -> str:
 
 def parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(str(text).strip())
+        return _fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}") from exc
+
+
+@lru_cache(maxsize=4096)
+def _fraction(text: str) -> Fraction:
+    # a transcript repeats a few bid strings thousands of times, and a parse
+    # through Fraction's regex costs far more than a lookup
+    return Fraction(text)
 
 
 def dumps(document: Mapping[str, Any]) -> str:

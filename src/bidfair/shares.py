@@ -42,43 +42,25 @@ with one pass per item.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .model import FractionalPartition
 from .simplex import solve_lp
-from .valuations import SizeGuardExceeded, ValuationOracle, integer_keys
-
-
-class SizeGuardSettingError(ValueError):
-    """BIDFAIR_SIZE_GUARD holds something other than a nonnegative integer."""
-
-
-def default_size_guard() -> int:
-    text = os.environ.get("BIDFAIR_SIZE_GUARD", "12")
-    if not text.strip().isdecimal():
-        raise SizeGuardSettingError(
-            f"BIDFAIR_SIZE_GUARD must be a nonnegative integer, not {text!r}"
-        )
-    return int(text)
+from .valuations import (  # the size guard's names stay importable from here
+    SizeGuardSettingError,
+    ValuationOracle,
+    default_size_guard,
+    guarded_items,
+    integer_keys,
+)
 
 
 @dataclass(frozen=True)
 class ShareResult:
     value: Fraction
     witness: tuple[frozenset[str], ...] | FractionalPartition
-
-
-def _checked_items(items: Iterable[str], max_items: int | None) -> tuple[str, ...]:
-    items = tuple(sorted(items))
-    guard = default_size_guard() if max_items is None else max_items
-    if len(items) > guard:
-        raise SizeGuardExceeded(
-            f"exact share computation over {len(items)} items exceeds guard of {guard}"
-        )
-    return items
 
 
 def _mask_to_bundle(mask: int, items: Sequence[str]) -> frozenset[str]:
@@ -118,7 +100,7 @@ def mms_exact(
     """Maximin share over partitions into n bundles (empty bundles allowed)."""
     if n < 1:
         raise ValueError("need at least one bundle")
-    items = _checked_items(items, max_items)
+    items = guarded_items(sorted(items), max_items, "exact share computation")
     m = len(items)
     candidates, ranks = _ranked_table(v, items)
     _, reach = _closure(ranks, m)
@@ -211,7 +193,7 @@ def aps_exact(
     b = Fraction(entitlement)
     if not (0 < b <= 1):
         raise ValueError("entitlement must lie in (0, 1]")
-    items = _checked_items(items, max_items)
+    items = guarded_items(sorted(items), max_items, "exact share computation")
     candidates, ranks = _ranked_table(v, items)
     below, _ = _closure(ranks, len(items))
 
@@ -303,7 +285,7 @@ def best_affordable(
     budget = Fraction(budget)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    items = _checked_items(items, max_items)
+    items = guarded_items(sorted(items), max_items, "exact share computation")
     keys, _ = integer_keys([budget] + [prices[e] for e in items])
     limit, scaled_prices = keys[0], keys[1:]
     # each mask costs its lowest-bit predecessor's cost plus one price, the

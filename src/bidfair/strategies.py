@@ -141,18 +141,21 @@ class ProportionalBidder(Strategy):
         )
         self.budget_capped_early = False
         self._ranking = _MarginalRanking(self.valuation)
-        self._large: frozenset[str] | None = None  # items worth more than 2*rho*share
+        # the items worth more than 2*rho*share, found at the first bid; none
+        # when the share is 0 or 2*rho >= 1 (a truncated value is at most the share)
+        self._large: frozenset[str] | None = (
+            frozenset() if self.share == 0 or 2 * self.rho >= 1 else None
+        )
         if self.share > 0:
             self._coefficient = Fraction(1, 2) / self.rho * self.entitlement / self.share
 
     def _in_large_phase(self, remaining: Sequence[str]) -> bool:
-        if self.share == 0:
-            return False
         if self._large is None:
             threshold = 2 * self.rho * self.share
             v = self.valuation
             self._large = frozenset(e for e in remaining if v.value(frozenset([e])) > threshold)
-        return not self._large.isdisjoint(remaining)
+        # isdisjoint walks all of remaining, so it is skipped when no item is large
+        return bool(self._large) and not self._large.isdisjoint(remaining)
 
     def bid(self, state: PublicState) -> Fraction:
         if self.share == 0:
@@ -176,13 +179,14 @@ class ProportionalBidder(Strategy):
         return self._ranking.pick(state.bundles[self.agent_id], state.remaining)
 
 
-class AltruisticProportionalBidder(Strategy):
+class AltruisticProportionalBidder(ProportionalBidder):
     """Marginal-value bidding for the spend-capped game variant.
 
-    The valuation is scaled so the share equals the entitlement and truncated
-    at the share; the agent then bids the highest remaining marginal value
-    (post scaling), capped at her remaining budget, and takes a maximal
-    marginal item on a win, breaking ties by canonical item order.
+    This is ``ProportionalBidder`` at rho = 1/2: the agent bids
+    (b / share) * (highest remaining marginal value of her valuation truncated
+    at the share), capped at her remaining budget, and takes a maximal
+    marginal item on a win, breaking ties by canonical item order.  No item
+    is large, since a truncated value never exceeds 2 * rho * share.
     """
 
     def __init__(
@@ -191,27 +195,7 @@ class AltruisticProportionalBidder(Strategy):
         entitlement: Fraction | int,
         share: Fraction | int,
     ) -> None:
-        self.entitlement = Fraction(entitlement)
-        self.share = Fraction(share)
-        if self.share < 0:
-            raise ValueError("share must be nonnegative")
-        if self.share > 0:
-            self.scale = self.entitlement / self.share
-            self.valuation = TruncatedValuation(valuation, self.share)
-        else:
-            self.scale = Fraction(0)
-            self.valuation = valuation
-        self._ranking = _MarginalRanking(self.valuation)
-
-    def bid(self, state: PublicState) -> Fraction:
-        if self.share == 0:
-            return Fraction(0)
-        budget = state.budgets[self.agent_id]
-        _, top_marginal = self._ranking.best(state.bundles[self.agent_id], state.remaining)
-        return min(self.scale * top_marginal, budget)
-
-    def pick(self, state: PublicState) -> Sequence[str]:
-        return self._ranking.pick(state.bundles[self.agent_id], state.remaining)
+        super().__init__(valuation, entitlement, share, Fraction(1, 2))
 
 
 class UnitDemandFullBudgetBidder(Strategy):
@@ -219,17 +203,14 @@ class UnitDemandFullBudgetBidder(Strategy):
 
     def __init__(self, valuation: ValuationOracle) -> None:
         self.valuation = valuation
-        self.won = False
         self._ranking = _MarginalRanking(valuation)
 
     def bid(self, state: PublicState) -> Fraction:
-        if self.won:
-            return Fraction(0)
+        # a win pays the whole budget, so after it this bid is 0
         return state.budgets[self.agent_id]
 
     def pick(self, state: PublicState) -> Sequence[str]:
         item, _ = self._ranking.best(frozenset(), state.remaining)
-        self.won = True
         return [item]
 
 

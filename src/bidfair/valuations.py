@@ -15,6 +15,7 @@ accounting.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -25,6 +26,32 @@ Bundle = frozenset[str]
 
 class SizeGuardExceeded(ValueError):
     """Raised when an exhaustive check is asked to enumerate too many sets."""
+
+
+class SizeGuardSettingError(ValueError):
+    """BIDFAIR_SIZE_GUARD holds something other than a nonnegative integer."""
+
+
+def default_size_guard() -> int:
+    """The item limit of the exhaustive computations: BIDFAIR_SIZE_GUARD, or 12."""
+    text = os.environ.get("BIDFAIR_SIZE_GUARD", "12")
+    if not text.strip().isdecimal():
+        raise SizeGuardSettingError(
+            f"BIDFAIR_SIZE_GUARD must be a nonnegative integer, not {text!r}"
+        )
+    return int(text)
+
+
+def guarded_items(
+    items: Iterable[str], max_items: int | None, what: str = "exhaustive check"
+) -> tuple[str, ...]:
+    """``items`` as a tuple, or SizeGuardExceeded when there are more than
+    ``max_items`` of them (``None``: ``default_size_guard()``)."""
+    items = tuple(items)
+    guard = default_size_guard() if max_items is None else max_items
+    if len(items) > guard:
+        raise SizeGuardExceeded(f"{what} over {len(items)} items exceeds guard of {guard}")
+    return items
 
 
 def integer_keys(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -245,18 +272,11 @@ def marginal(v: ValuationOracle, item: str, base: Iterable[str]) -> Fraction:
     return v.value(base | {item}) - v.value(base)
 
 
-def _guard(items: Sequence[str], max_items: int) -> tuple[str, ...]:
-    items = tuple(items)
-    if len(items) > max_items:
-        raise SizeGuardExceeded(
-            f"exhaustive check over {len(items)} items exceeds guard of {max_items}"
-        )
-    return items
-
-
-def is_monotone_normalized(v: ValuationOracle, items: Sequence[str], max_items: int = 12) -> bool:
+def is_monotone_normalized(
+    v: ValuationOracle, items: Sequence[str], max_items: int | None = None
+) -> bool:
     """Exhaustively check v(empty) == 0 and v(S) <= v(S + e) for all S, e."""
-    items = _guard(items, max_items)
+    items = guarded_items(items, max_items)
     if v.value(frozenset()) != 0:
         return False
     for size in range(len(items)):
@@ -269,10 +289,10 @@ def is_monotone_normalized(v: ValuationOracle, items: Sequence[str], max_items: 
     return True
 
 
-def is_submodular(v: ValuationOracle, items: Sequence[str], max_items: int = 12) -> bool:
+def is_submodular(v: ValuationOracle, items: Sequence[str], max_items: int | None = None) -> bool:
     """Exhaustively check diminishing marginals: for all S subset of T and e
     outside T, v(e | S) >= v(e | T)."""
-    items = _guard(items, max_items)
+    items = guarded_items(items, max_items)
     universe = frozenset(items)
     subsets = [frozenset(c) for size in range(len(items) + 1) for c in combinations(items, size)]
     for t_set in subsets:

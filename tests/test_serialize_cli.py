@@ -50,6 +50,13 @@ def test_rational_strings():
         parse_rational("1.5x")
     with pytest.raises(ParseError):
         parse_rational("1/0")
+    for _ in range(2):  # parses are memoised; a second call answers the same
+        assert parse_rational(" 3/6 ") == Fraction(1, 2)
+        assert parse_rational(7) == Fraction(7)
+        with pytest.raises(ParseError, match=r"^bad rational '1/0'$"):
+            parse_rational("1/0")
+        with pytest.raises(ParseError, match=r"^bad rational \[1\]$"):
+            parse_rational([1])
 
 
 def probe_bundles(items):

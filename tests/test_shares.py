@@ -33,6 +33,8 @@ from bidfair.valuations import (
     TruncatedValuation,
     UnitDemandValuation,
     WeightedCoverageValuation,
+    is_monotone_normalized,
+    is_submodular,
 )
 
 
@@ -204,8 +206,15 @@ def test_size_guard_and_env_override(monkeypatch):
     monkeypatch.setenv("BIDFAIR_SIZE_GUARD", "13")
     assert mms_exact(v, 2, items).value == 6
     monkeypatch.setenv("BIDFAIR_SIZE_GUARD", "4")
+    five = ["e0", "e1", "e2", "e3", "e4"]
     with pytest.raises(SizeGuardExceeded):
-        mms_exact(v, 2, ["e0", "e1", "e2", "e3", "e4"])
+        mms_exact(v, 2, five)
+    # the exhaustive valuation checks honour the same setting
+    with pytest.raises(SizeGuardExceeded):
+        is_submodular(v, five)
+    with pytest.raises(SizeGuardExceeded):
+        is_monotone_normalized(v, five)
+    assert is_submodular(v, five, max_items=5)
     for text in ("abc", "-1", "", "1.5", "²"):
         monkeypatch.setenv("BIDFAIR_SIZE_GUARD", text)
         with pytest.raises(SizeGuardSettingError, match="nonnegative integer"):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from bidfair.engine import MODES, GameConfig, TieBreak, run_game
+from bidfair.engine import MODES, GameConfig, Strategy, TieBreak, run_game
 from bidfair.model import make_instance
 from bidfair.shares import aps_exact, mms_exact
 from bidfair.strategies import (
@@ -22,6 +22,7 @@ from bidfair.valuations import (
     AdditiveValuation,
     ScaledValuation,
     TableValuation,
+    TruncatedValuation,
     UnitDemandValuation,
     WeightedCoverageValuation,
     XOSValuation,
@@ -293,7 +294,7 @@ def test_factories_build_the_right_strategies():
     p2 = ProportionalBidder(v, Fraction(1, 3), 6, rho=Fraction(1, 5))
     assert p2.rho == Fraction(1, 5)
     a = AltruisticProportionalBidder(v, Fraction(1, 2), 4)
-    assert a.scale == Fraction(1, 8)
+    assert a.rho == Fraction(1, 2)  # the proportional bidder at rho = 1/2
 
 
 def test_game_query_counts_stay_polynomial():
@@ -403,7 +404,15 @@ class ScanProportionalBidder(ProportionalBidder):
         return [item]
 
 
-class ScanAltruisticBidder(AltruisticProportionalBidder):
+class ScanAltruisticBidder(Strategy):
+    """The spend-capped bidder written out on its own: truncate at the share,
+    bid (b / share) * (top marginal) capped at the budget."""
+
+    def __init__(self, valuation, entitlement, share):
+        self.share = Fraction(share)
+        self.valuation = TruncatedValuation(valuation, self.share) if self.share > 0 else valuation
+        self.scale = Fraction(entitlement) / self.share if self.share > 0 else Fraction(0)
+
     def bid(self, state):
         if self.share == 0:
             return Fraction(0)
@@ -430,6 +439,13 @@ class ScanGreedyMarginalBidder(GreedyMarginalBidder):
 
 
 class ScanUnitDemandBidder(UnitDemandFullBudgetBidder):
+    """Bids nothing once it has won, by a flag rather than by its budget."""
+
+    won = False
+
+    def bid(self, state):
+        return Fraction(0) if self.won else state.budgets[self.agent_id]
+
     def pick(self, state):
         item, _ = _best_singleton(self.valuation, state.remaining)
         self.won = True
@@ -506,7 +522,7 @@ def play_small_game(game, scan):
             strategies[agent_id] = cls(v)
     inst = make_instance(items, [(agent_id, b, v) for agent_id, v, *_ in agents])
     _, transcript = run_game(inst, strategies, config)
-    capped = {a: s.budget_capped_early for a, s in strategies.items() if isinstance(s, ProportionalBidder)}
+    capped = {a: strategies[a].budget_capped_early for a, _, kind, *_ in agents if kind == "proportional"}
     return transcript, capped
 
 
