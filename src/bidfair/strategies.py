@@ -8,8 +8,10 @@ the game only through public state and their own value oracle.
 The marginal-value strategies rank the remaining items by marginal value over
 the bundle they hold once each time that bundle changes, and between their
 wins take the best still-remaining item from that ranking: a game costs such
-a bidder about (wins + 2) * (items + 1) value queries, not one query per
-remaining item every round.  The ranking is exact for every valuation.
+a bidder about (wins + 1) * (items + 1) value queries, not one query per
+remaining item every round.  The ranking is exact for every valuation, and
+it truncates at a ceiling in ints, so a bidder that truncates its valuation
+queries its own oracle, whose cache outlives the game.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .engine import PublicState, Strategy, StrategyError
-from .valuations import TruncatedValuation, ValuationOracle
+from .valuations import ValuationOracle
 
 RhoLike = Fraction | int | None
 
@@ -46,30 +48,39 @@ class _MarginalRanking:
     items only leave the game, so until the bundle changes the best item is
     the first ranked one still remaining, found by a cursor that only moves
     forward.  This holds for every valuation: it needs no submodularity.
+
+    With a ``ceiling`` the ranking is that of min(v, ceiling): the values
+    become int keys over one common denominator and each key is clamped to
+    the ceiling's, so no truncated oracle is queried.  A gain stays an int
+    until ``best`` returns it, as one ``Fraction`` per cursor position.
     """
 
-    def __init__(self, valuation: ValuationOracle) -> None:
+    def __init__(self, valuation: ValuationOracle, ceiling: Fraction | None = None) -> None:
         self.valuation = valuation
+        self._ceiling = ceiling
         self._held: frozenset[str] | None = None
-        self.base = Fraction(0)  # v(held)
+        self.base = Fraction(0)  # v(held), truncated at the ceiling
         self._items: list[str] = []
-        self._values: list[Fraction] = []  # v(held + item), in ranked order
+        self._keys: list[int] = []  # v(held + item) * common, in ranked order
+        self._base_key = 0
+        self._common = 1
         self._cursor = 0
+        self._gain = Fraction(0)  # the gain at the cursor
 
     def best(self, held: frozenset[str], remaining: Sequence[str]) -> tuple[str | None, Fraction]:
         """Item of maximal marginal value over ``held``, earliest in
         ascending order on ties, with its gain; ``(None, 0)`` when no item
         remains.  ``remaining`` must be in ascending order, as the engine
-        gives it."""
+        gives it.  The gain is the same object until the cursor moves or
+        the bundle changes."""
         if held is not self._held and held != self._held:
             self._rank(held, remaining)
         items, i = self._items, self._cursor
         while i < len(items) and not still_remaining(remaining, items[i]):
             i += 1
-        self._cursor = i
-        if i == len(items):
-            return None, Fraction(0)
-        return items[i], self._values[i] - self.base
+        if i != self._cursor:
+            self._move(i)
+        return (items[i] if i < len(items) else None), self._gain
 
     def pick(self, held: frozenset[str], remaining: Sequence[str]) -> list[str]:
         """The best item over ``held``, or the first remaining item when the
@@ -77,18 +88,43 @@ class _MarginalRanking:
         item, gain = self.best(held, remaining)
         return [remaining[0] if gain == 0 else item]
 
+    def above(self, bound: Fraction) -> frozenset[str]:
+        """The ranked items whose value with the held bundle exceeds ``bound``."""
+        n, d = bound.as_integer_ratio()
+        scaled = n * self._common
+        return frozenset(e for e, key in zip(self._items, self._keys) if key * d > scaled)
+
+    def _move(self, i: int) -> None:
+        self._cursor = i
+        if i < len(self._keys):
+            self._gain = Fraction(self._keys[i] - self._base_key, self._common)
+        else:
+            self._gain = Fraction(0)
+
     def _rank(self, held: frozenset[str], remaining: Sequence[str]) -> None:
         v = self.valuation
         values = [v.value(held | {e}) for e in remaining]
+        base = v.value(held)
+        ceiling = self._ceiling
         # exact integer sort keys: every value over the common denominator
-        common = math.lcm(*(x.denominator for x in values))
+        common = math.lcm(base.denominator, *(x.denominator for x in values))
+        if ceiling is not None:
+            common = math.lcm(common, ceiling.denominator)
         keys = [x.numerator * (common // x.denominator) for x in values]
-        order = sorted(range(len(values)), key=keys.__getitem__, reverse=True)
+        base_key = base.numerator * (common // base.denominator)
+        if ceiling is not None:
+            cap = ceiling.numerator * (common // ceiling.denominator)
+            keys = [k if k < cap else cap for k in keys]
+            if base_key > cap:
+                base, base_key = ceiling, cap
+        order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
         self._held = held
-        self.base = v.value(held)
+        self.base = base
         self._items = [remaining[j] for j in order]
-        self._values = [values[j] for j in order]
-        self._cursor = 0
+        self._keys = [keys[j] for j in order]
+        self._base_key = base_key
+        self._common = common
+        self._move(0)
 
 
 class ZeroBidder(Strategy):
@@ -104,10 +140,13 @@ class ZeroBidder(Strategy):
 class ProportionalBidder(Strategy):
     """Two-phase share-proportional bidding for a submodular valuation.
 
-    The valuation is truncated at the share value.  While some unallocated
-    item is *large* (truncated value above 2*rho*share) the agent bids her
-    entire remaining budget and, on a win, grabs the most valuable item,
-    exhausting her budget.  Once no large item remains she bids
+    The valuation is truncated at the share value: the ranking clamps its
+    int keys at the share, so the agent's own oracle answers every query.
+    While some unallocated item is *large* (truncated value above
+    2*rho*share) the agent bids her entire remaining budget and, on a win,
+    grabs the most valuable item, exhausting her budget.  The large items
+    are read off the first ranking, over the empty bundle, which holds every
+    singleton value.  Once no large item remains she bids
 
         (1 / 2 rho) * (b / share) * (highest remaining marginal value),
 
@@ -115,7 +154,8 @@ class ProportionalBidder(Strategy):
     marginal value.  Renormalizing the post-large-phase state into a fresh
     instance (budgets scaled by 1/gamma into entitlements, bids scaled back
     by gamma) leaves these bid amounts unchanged - the two scalings cancel -
-    so the strategy applies the same formula throughout.
+    so the strategy applies the same formula throughout.  The bid depends
+    only on the gain and the budget, so it is reused while both stand.
 
     ``budget_capped_early`` records whether the budget cap ever bound a
     formula bid while the agent's held value was still below rho*share; the
@@ -136,11 +176,9 @@ class ProportionalBidder(Strategy):
         self.rho = default_rho(self.entitlement) if rho is None else Fraction(rho)
         if self.rho <= 0:
             raise ValueError("rho must be positive")
-        self.valuation = (
-            TruncatedValuation(valuation, self.share) if self.share > 0 else valuation
-        )
+        self.valuation = valuation
         self.budget_capped_early = False
-        self._ranking = _MarginalRanking(self.valuation)
+        self._ranking = _MarginalRanking(valuation, self.share if self.share > 0 else None)
         # the items worth more than 2*rho*share, found at the first bid; none
         # when the share is 0 or 2*rho >= 1 (a truncated value is at most the share)
         self._large: frozenset[str] | None = (
@@ -148,12 +186,13 @@ class ProportionalBidder(Strategy):
         )
         if self.share > 0:
             self._coefficient = Fraction(1, 2) / self.rho * self.entitlement / self.share
+        # the last (gain, budget, bid): the bid is a function of the other two
+        self._last: tuple[Fraction | None, Fraction | None, Fraction] = (None, None, Fraction(0))
 
     def _in_large_phase(self, remaining: Sequence[str]) -> bool:
         if self._large is None:
-            threshold = 2 * self.rho * self.share
-            v = self.valuation
-            self._large = frozenset(e for e in remaining if v.value(frozenset([e])) > threshold)
+            self._ranking.best(frozenset(), remaining)
+            self._large = self._ranking.above(2 * self.rho * self.share)
         # isdisjoint walks all of remaining, so it is skipped when no item is large
         return bool(self._large) and not self._large.isdisjoint(remaining)
 
@@ -163,13 +202,17 @@ class ProportionalBidder(Strategy):
         budget = state.budgets[self.agent_id]
         if self._in_large_phase(state.remaining):
             return budget
-        _, top_marginal = self._ranking.best(state.bundles[self.agent_id], state.remaining)
-        formula = self._coefficient * top_marginal
-        if formula > budget:
+        _, gain = self._ranking.best(state.bundles[self.agent_id], state.remaining)
+        last_gain, last_budget, last_bid = self._last
+        if gain is last_gain and budget is last_budget:
+            return last_bid
+        bid = self._coefficient * gain
+        if bid > budget:
             if self._ranking.base < self.rho * self.share:
                 self.budget_capped_early = True
-            return budget
-        return formula
+            bid = budget
+        self._last = (gain, budget, bid)
+        return bid
 
     def pick(self, state: PublicState) -> Sequence[str]:
         if self._in_large_phase(state.remaining):

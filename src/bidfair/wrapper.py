@@ -72,11 +72,8 @@ def value_spread_bound(instance: Instance) -> Fraction:
     best = Fraction(1)
     for spec in instance.agents:
         total = spec.valuation.value(instance.item_set)
-        positives = [
-            spec.valuation.value(frozenset([e]))
-            for e in instance.items
-            if spec.valuation.value(frozenset([e])) > 0
-        ]
+        singles = (spec.valuation.value(frozenset([e])) for e in instance.items)
+        positives = [x for x in singles if x > 0]
         if positives and total > 0:
             best = max(best, total / min(positives))
     return best

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from bidfair.engine import MODES, GameConfig, Strategy, TieBreak, run_game
+from bidfair.engine import MODES, GameConfig, PublicState, Strategy, TieBreak, run_game
 from bidfair.model import make_instance
 from bidfair.shares import aps_exact, mms_exact
 from bidfair.strategies import (
@@ -16,6 +16,7 @@ from bidfair.strategies import (
     ScriptedBidder,
     UnitDemandFullBudgetBidder,
     ZeroBidder,
+    _MarginalRanking,
     default_rho,
 )
 from bidfair.valuations import (
@@ -314,15 +315,15 @@ def test_game_query_counts_stay_polynomial():
             "o1": ConstantBidder(Fraction(1, 16)),
             "o2": ScriptedBidder([Fraction(1, 8)] * m),
         }
-        before = p.valuation.query_count  # the truncated oracle the bidder uses
+        before = p.valuation.query_count  # the agent's own oracle, which the ranking queries
         run_game(inst, strategies, GameConfig())
         spent = p.valuation.query_count - before
         assert spent <= 8 * (m + 2) * (m + 2)
 
 
 def test_game_query_counts_stay_within_one_ranking_per_bundle():
-    # the bidder ranks the remaining items once per bundle it holds, and
-    # once more to find the large items
+    # the bidder ranks the remaining items once per bundle it holds; the
+    # large items come from the first ranking
     for seed in range(40):
         v, items = coverage(seed, m=8, universe=6)
         m = len(items)
@@ -373,6 +374,13 @@ def _best_singleton(v, remaining):
 
 
 class ScanProportionalBidder(ProportionalBidder):
+    """The proportional bidder over its own oracle truncated at the share."""
+
+    def __init__(self, valuation, entitlement, share, rho=None):
+        super().__init__(valuation, entitlement, share, rho)
+        if self.share > 0:
+            self.valuation = TruncatedValuation(valuation, self.share)
+
     def _scan_large_phase(self, remaining):
         if self.share == 0:
             return False
@@ -424,6 +432,88 @@ class ScanAltruisticBidder(Strategy):
         if gain == 0:
             item = sorted(state.remaining)[0]
         return [item]
+
+
+@st.composite
+def ceiling_cases(draw):
+    """A table valuation around a ceiling, and the order in which its items
+    leave, each into the held bundle or not."""
+    items = [f"e{j}" for j in range(draw(st.integers(0, 4)))]
+    ceiling = draw(st.fractions(0, 4, max_denominator=6))
+    value = st.sampled_from([ceiling, ceiling + Fraction(1, 7)]) | st.fractions(-2, 5, max_denominator=5)
+    table = {
+        frozenset(e for j, e in enumerate(items) if mask >> j & 1): draw(value)
+        for mask in range(1 << len(items))
+    }
+    order = draw(st.permutations(items))
+    kept = draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+    return items, table, ceiling, list(zip(order, kept))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ceiling_cases())
+def test_ceiling_ranking_matches_the_truncated_scan(case):
+    items, table, ceiling, moves = case
+    v = TableValuation(items, table)
+    truncated = TruncatedValuation(v, ceiling)
+    ranking = _MarginalRanking(v, ceiling)
+    held, remaining = frozenset(), list(items)
+    for item, keep in moves + [(None, False)]:
+        assert ranking.best(held, remaining) == _best_marginal(truncated, held, remaining)
+        assert ranking.base == truncated.value(held)
+        if item is None:
+            break
+        remaining.remove(item)
+        if keep:
+            held = held | {item}
+
+
+def _bid(p, remaining, budget, held=()):
+    state = PublicState(1, tuple(remaining), {"p": budget}, {"p": frozenset(held)}, ())
+    return p.bid(state)
+
+
+def _fresh_bid(make, *state):
+    p = make()
+    p.start("p", None, None)
+    return _bid(p, *state)
+
+
+def test_proportional_bid_is_reused_only_while_gain_and_budget_stand():
+    v = AdditiveValuation({"e1": 6, "e2": 3, "e3": 1})
+    b = Fraction(1, 2)
+
+    def make():
+        return ProportionalBidder(v, b, 8, Fraction(1, 2))  # bids gain / 16
+
+    p = make()
+    p.start("p", None, None)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    states = [
+        (("e1", "e2", "e3"), half, (), Fraction(3, 8)),
+        (("e1", "e2", "e3"), quarter, (), quarter),  # only the budget changes
+        (("e1", "e2", "e3"), Fraction(1, 2), (), Fraction(3, 8)),  # an equal budget object
+        (("e2", "e3"), half, (), Fraction(3, 16)),  # only the top item leaves
+        (("e2", "e3"), half, ("e1",), Fraction(1, 8)),  # the bundle changes: min(9, 8) - 6
+    ]
+    for remaining, budget, held, expected in states:
+        bid = _bid(p, remaining, budget, held)
+        assert bid == _fresh_bid(make, remaining, budget, held) == expected
+
+
+def test_an_item_at_exactly_twice_rho_share_is_not_large():
+    v = UnitDemandValuation({"e1": 4, "e2": 3})
+    b = Fraction(1, 3)
+
+    def make():
+        return ProportionalBidder(v, b, 8, Fraction(1, 4))  # 2 * rho * share = 4
+
+    p = make()
+    p.start("p", None, None)
+    assert _bid(p, ("e1", "e2"), b) == b  # the formula bid, (1/12) * 4
+    # e1 adds 1 to e2: a large e1 would keep the bid at the whole budget
+    state = (("e1",), Fraction(1, 6), ("e2",))
+    assert _bid(p, *state) == _fresh_bid(make, *state) == Fraction(1, 12)
 
 
 class ScanGreedyMarginalBidder(GreedyMarginalBidder):
