@@ -343,6 +343,18 @@ def cmd_alloc(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- verify
 
+def _alloc_inputs(doc: dict) -> tuple[str, Fraction]:
+    """The mode and epsilon an ``alloc`` report records, checked as ``alloc``
+    checks its options."""
+    mode = doc["mode"]
+    if mode not in ("aps", "mms"):
+        raise serialize.ParseError(f"'mode' must be \"aps\" or \"mms\", not {mode!r}")
+    epsilon = serialize.parse_rational(doc["epsilon"])
+    if not 0 < epsilon < 1:
+        raise serialize.ParseError(f"'epsilon' must lie in (0, 1), not {epsilon}")
+    return mode, epsilon
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     doc = serialize.loads(_read_text(args.report))
     instance, transcript, guarantees = serialize.report_from_dict(doc)
@@ -359,6 +371,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if serialize.parse_rational(entry["bundle_value"]) != value:
                 sys.stderr.write(f"recorded bundle value for {agent} is wrong\n")
                 return EXIT_FAIL
+            if "rho" in entry:  # alloc: rho is the mode's guarantee at the agent's entitlement
+                mode, epsilon = _alloc_inputs(doc)
+                rho = serialize.parse_rational(entry["rho"])
+                if rho != guarantee_rho(mode, instance.entitlement(agent)):
+                    sys.stderr.write(f"recorded rho for {agent} is wrong\n")
+                    return EXIT_FAIL
             if "share" not in entry:
                 continue
             share = serialize.parse_rational(entry["share"])
@@ -373,8 +391,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 target = serialize.parse_rational(entry["target_rho"])
                 passed = True if share <= 0 else value >= target * share
             else:  # alloc: value >= (1 - epsilon) * rho * share
-                epsilon = serialize.parse_rational(doc["epsilon"])
-                passed = value >= (1 - epsilon) * serialize.parse_rational(entry["rho"]) * share
+                passed = value >= (1 - epsilon) * rho * share
             if serialize._typed(entry, "passed", bool, True) != passed:
                 sys.stderr.write(f"guarantee flag for {agent} is wrong\n")
                 return EXIT_FAIL

@@ -194,16 +194,21 @@ class _TieBreaker:
 class _Ledger:
     """The state of one game, advanced one checked round at a time.
 
-    ``check_bids`` checks each round's bidders, bid amounts, winner and
-    tie-break.  ``run_game`` turns it off: it takes the bids of the active
-    agents, clamps them to the budgets and draws the winner from ``breaker``
-    itself, and a seeded tie policy must be drawn exactly once per tied round.
+    ``check_bids`` checks what only a recorded round can break: its number,
+    the game not being over, the bidders, bid amounts, winner, tie-break and
+    payment.  ``run_game`` turns it off: it builds each round from the clamped
+    bids of the active agents and draws the winner from ``breaker`` itself (a
+    seeded tie policy must be drawn once per tied round); it checks the picks.
     """
 
     def __init__(self, instance: Instance, config: GameConfig, check_bids: bool = True):
         self.config = config
-        self.entitlements = {a.id: a.entitlement for a in instance.agents}
-        self.budgets = dict(self.entitlements)
+        self.budgets = {a.id: a.entitlement for a in instance.agents}
+        # an agent leaves below her floor under a strict spend cap, at it otherwise:
+        # spend passes rho * b exactly when the budget falls below (1 - rho) * b
+        capped = config.mode == "altruistic"
+        self.floors = {a.id: (1 - config.rho) * a.entitlement if capped else 0 for a in instance.agents}
+        self.strict = capped and config.strict_threshold
         self.bundles: dict[str, frozenset[str]] = {i: frozenset() for i in self.budgets}
         self.active = {i: True for i in self.budgets}
         # the instance's items are sorted, and deleting keys keeps a dict's order
@@ -223,12 +228,12 @@ class _Ledger:
         def broken(rule: str, agent: str | None, detail: str) -> RuleViolation:
             return RuleViolation(number, rule, agent, detail)
 
-        if rnd.number != number:
-            raise broken("round number", None, f"numbered {rnd.number}")
-        if self.over:
-            raise broken("game over", None, "no item or no active agent is left")
         winner = rnd.winner
         if self.check_bids:
+            if rnd.number != number:
+                raise broken("round number", None, f"numbered {rnd.number}")
+            if self.over:
+                raise broken("game over", None, "no item or no active agent is left")
             bidders = {i for i, on in self.active.items() if on}
             if set(rnd.bids) != bidders:
                 odd = sorted(set(rnd.bids) ^ bidders)[0]
@@ -251,23 +256,20 @@ class _Ledger:
             raise broken("picks", winner, f"picked unavailable items {gone}")
         if self.config.mode != "multi_pick" and len(picks) != 1:
             raise broken("picks", winner, f"picked {len(picks)} items outside multi_pick")
-        payment, bid, budget = rnd.payment, rnd.bids[winner], self.budgets[winner]
-        if payment != bid * len(picks):
-            raise broken("payment", winner, f"paid {payment} for {len(picks)} items at {bid}")
-        if payment > budget:
-            raise broken("budget", winner, f"paid {payment} from a budget of {budget}")
+        payment, budget = rnd.payment, self.budgets[winner]
+        if self.check_bids:
+            bid = rnd.bids[winner]
+            if payment != bid * len(picks):
+                raise broken("payment", winner, f"paid {payment} for {len(picks)} items at {bid}")
+            if payment > budget:
+                raise broken("budget", winner, f"paid {payment} from a budget of {budget}")
 
-        self.budgets[winner] -= payment
+        self.budgets[winner] = budget = budget - payment
         self.bundles[winner] = self.bundles[winner] | set(picks)
         for e in picks:
             del self.remaining[e]
-        if self.config.mode == "altruistic":
-            limit = self.config.rho * self.entitlements[winner]
-            spent = self.entitlements[winner] - self.budgets[winner]
-            done = spent > limit if self.config.strict_threshold else spent >= limit
-        else:
-            done = self.budgets[winner] == 0
-        if done:
+        floor = self.floors[winner]
+        if budget < floor if self.strict else budget <= floor:
             self.active[winner] = False
         self.round = number
 
@@ -278,7 +280,6 @@ class _Ledger:
             budgets=dict(self.budgets),
             bundles=dict(self.bundles),
             active=dict(self.active),
-            spent={i: self.entitlements[i] - budget for i, budget in self.budgets.items()},
         )
 
 

@@ -121,7 +121,6 @@ class GameState:
     budgets: Mapping[str, Fraction]
     bundles: Mapping[str, frozenset[str]]
     active: Mapping[str, bool]
-    spent: Mapping[str, Fraction]
 
 
 def reduce_instance(instance: Instance, removed_agent: str, removed_item: str) -> Instance:

@@ -8,8 +8,9 @@ desk scale, not production approximation algorithms.
 Both start from the values of all 2^m bundles.  Bundle ``mask`` is built from
 its lowest-bit predecessor, bundle ``mask ^ low`` with ``low`` the lowest set
 bit of mask, plus one item, and the oracle is queried in mask order.  The
-values are ranked on integer keys, each value times the lcm of the table's
-denominators, so no Fraction is hashed; the share is returned as a Fraction.
+values are ranked on integer keys over the table's common denominator
+(``valuations.integer_keys``), so no Fraction is hashed; the share is returned
+as a Fraction.
 
 The anyprice share of an agent with entitlement b is the largest value z for
 which bundle weights {lambda_T} exist with total weight 1, support restricted
@@ -48,13 +49,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .model import FractionalPartition
 from .simplex import solve_lp
-from .valuations import (  # the size guard's names stay importable from here
-    SizeGuardSettingError,
-    ValuationOracle,
-    default_size_guard,
-    guarded_items,
-    integer_keys,
-)
+from .valuations import ValuationOracle, guarded_items, integer_keys
 
 
 @dataclass(frozen=True)

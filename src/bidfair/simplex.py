@@ -10,8 +10,8 @@ rule picks the smallest eligible column, so the solver terminates on every
 input and the same input always takes the same pivots.
 
 The tableau holds Python ints over one common denominator d > 0, not
-fractions.  Each input row is scaled by the lcm of its denominators, with its
-slack and artificial measured in units of one over that scale, so the
+fractions.  Each input row is scaled to ints by ``valuations.integer_keys``,
+with its slack and artificial measured in units of one over that scale, so the
 identity columns stay unit columns and d starts at 1.  A pivot on p keeps the
 pivot row and maps every other row r to (M_r * p - M_r[s] * M_pivot) // d,
 then sets d = p: the rule of Edmonds (1967) and Bareiss (1968), in which the
@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
+
+from .valuations import integer_keys
 
 
 @dataclass
@@ -72,15 +73,14 @@ class _Tableau:
         for i, (a, b) in enumerate(zip(a_ub, rhs)):
             if len(a) != n_vars:
                 raise ValueError("row length mismatch")
-            a = [_rational(v) for v in a]
+            keys, scale = integer_keys([*map(_rational, a), b])
             sign = -1 if b < 0 else 1  # a negated row's artificial starts in the basis
-            scale = lcm(b.denominator, *(v.denominator for v in a))
             row = [0] * self.width
-            row[:n_vars] = [sign * v.numerator * (scale // v.denominator) for v in a]
+            row[self.rhs_col] = sign * keys.pop()
+            row[:n_vars] = keys if sign > 0 else [-k for k in keys]
             row[n_vars + i] = sign
             col = next(artificials) if b < 0 else n_vars + i
             row[col] = 1
-            row[self.rhs_col] = sign * b.numerator * (scale // b.denominator)
             self.rows.append(row)
             self.signs.append(sign)
             self.scales.append(scale)
@@ -137,8 +137,8 @@ class _Tableau:
     def set_objective(self, costs: dict[int, int | Fraction]) -> None:
         """Install the objective row for max sum costs[j] * var_j, with each
         slack and artificial priced per scaled unit, and price out the basis."""
-        self.obj_scale = lcm(*(c.denominator for c in costs.values()))
-        self.costs = {j: c.numerator * (self.obj_scale // c.denominator) for j, c in costs.items()}
+        keys, self.obj_scale = integer_keys(costs.values())
+        self.costs = dict(zip(costs, keys))
         obj = [0] * self.width
         for j, c in self.costs.items():
             obj[j] = -c * self.d

@@ -16,14 +16,13 @@ queries its own oracle, whose cache outlives the game.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Sequence
 
 from .engine import PublicState, Strategy, StrategyError
-from .valuations import ValuationOracle
+from .valuations import ValuationOracle, integer_keys
 
 RhoLike = Fraction | int | None
 
@@ -106,17 +105,16 @@ class _MarginalRanking:
         values = [v.value(held | {e}) for e in remaining]
         base = v.value(held)
         ceiling = self._ceiling
-        # exact integer sort keys: every value over the common denominator
-        common = math.lcm(base.denominator, *(x.denominator for x in values))
+        # exact integer sort keys: the values, then v(held) and the ceiling
+        values.append(base)
         if ceiling is not None:
-            common = math.lcm(common, ceiling.denominator)
-        keys = [x.numerator * (common // x.denominator) for x in values]
-        base_key = base.numerator * (common // base.denominator)
+            values.append(ceiling)
+        keys, common = integer_keys(values)
         if ceiling is not None:
-            cap = ceiling.numerator * (common // ceiling.denominator)
+            cap = keys.pop()
             keys = [k if k < cap else cap for k in keys]
-            if base_key > cap:
-                base, base_key = ceiling, cap
+            base = min(base, ceiling)
+        base_key = keys.pop()
         order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
         self._held = held
         self.base = base
@@ -125,16 +123,6 @@ class _MarginalRanking:
         self._base_key = base_key
         self._common = common
         self._move(0)
-
-
-class ZeroBidder(Strategy):
-    """Always bids zero; picks the canonically first item when forced to win."""
-
-    def bid(self, state: PublicState) -> Fraction:
-        return Fraction(0)
-
-    def pick(self, state: PublicState) -> Sequence[str]:
-        return [state.remaining[0]]
 
 
 class ProportionalBidder(Strategy):
@@ -301,6 +289,13 @@ class ConstantBidder(Strategy):
 
     def pick(self, state: PublicState) -> Sequence[str]:
         return [state.remaining[0]]
+
+
+class ZeroBidder(ConstantBidder):
+    """Always bids zero; picks the canonically first item when forced to win."""
+
+    def __init__(self) -> None:
+        super().__init__(0)
 
 
 class GreedyMarginalBidder(Strategy):

@@ -54,12 +54,14 @@ def conditional_allocate(
         raise ValueError("need one guess per agent")
     if any(t < 0 for t in guesses.values()):
         raise ValueError("guesses must be nonnegative")
-    if mode == "mms" and not instance.has_equal_entitlements():
-        raise ValueError("the spend-capped game guarantee needs equal entitlements")
     if mode == "aps":
         config, bidder = GameConfig(mode="standard"), ProportionalBidder
-    else:
+    elif mode == "mms":
+        if not instance.has_equal_entitlements():
+            raise ValueError("the spend-capped game guarantee needs equal entitlements")
         config, bidder = GameConfig(mode="altruistic", rho=MMS_GAME_RHO), AltruisticProportionalBidder
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     strategies: dict[str, Strategy] = {
         spec.id: bidder(spec.valuation, spec.entitlement, guesses[spec.id])
         for spec in instance.agents
@@ -80,8 +82,10 @@ def value_spread_bound(instance: Instance) -> Fraction:
 
 
 def call_budget(n: int, epsilon: Fraction, spread: Fraction) -> int:
-    """n * ceil(log K / eps) + 1, the allowed number of conditional calls."""
-    log_k = math.log(spread) if spread > 1 else 0.0
+    """n * ceil(log K / eps) + 1, the allowed number of conditional calls.
+    log K is taken from K's numerator and denominator: ``math.log`` of an int
+    never overflows, while K as a float may."""
+    log_k = math.log(spread.numerator) - math.log(spread.denominator) if spread > 1 else 0.0
     return n * math.ceil(log_k / float(epsilon)) + 1
 
 

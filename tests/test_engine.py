@@ -561,6 +561,39 @@ def test_run_game_matches_the_fraction_reference(mode, policy, strict, m, data):
     assert verify_transcript(got[1], inst)
 
 
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from(MODES), strict=st.booleans(), m=st.integers(1, 6), data=st.data())
+def test_agents_leave_exactly_when_the_rule_says(mode, strict, m, data):
+    # the rule as stated, from spend = entitlement - budget, not from the ledger
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    ids = [f"a{i}" for i in range(n)]
+    weights = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
+    items = [f"e{j}" for j in range(m)]
+    v = AdditiveValuation({e: 1 for e in items})
+    inst = make_instance(items, [(a, Fraction(w, sum(weights)), v) for a, w in zip(ids, weights)])
+    rho = data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
+    config = GameConfig(mode=mode, rho=rho, strict_threshold=strict)
+    step = st.tuples(st.sampled_from(BID_KINDS), st.integers(min_value=0, max_value=7))
+    players = {
+        a: DrawnBidder(data.draw(st.lists(step, min_size=1, max_size=4)), data.draw(st.integers(1, 3)),
+                       mode == "multi_pick")
+        for a in ids
+    }
+    _, tr = run_game(inst, players, config)
+    for upto in range(len(tr.rounds) + 1):
+        state = state_after(inst, tr, upto)
+        for spec in inst.agents:
+            budget = state.budgets[spec.id]
+            spend, cap = spec.entitlement - budget, rho * spec.entitlement
+            if mode != "altruistic":
+                active = budget > 0
+            elif strict:
+                active = spend <= cap
+            else:
+                active = spend < cap
+            assert state.active[spec.id] == active, (upto, spec.id, spend)
+
+
 @pytest.mark.parametrize(
     "bids, winner, rule, detail",
     [

@@ -119,7 +119,6 @@ def fresh_state(inst, budgets=None, remaining=None, active=None, bundles=None):
         budgets=budgets,
         bundles=bundles or {a.id: frozenset() for a in inst.agents},
         active=active or {a.id: True for a in inst.agents},
-        spent={a.id: Fraction(0) for a in inst.agents},
     )
 
 

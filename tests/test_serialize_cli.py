@@ -330,6 +330,29 @@ def test_cli_alloc_with_exact_check(tmp_path, capsys):
         assert run_cli("verify", str(bad)) == 2
     capsys.readouterr()
 
+    # the recorded inputs are checked too: each rho is the mode's guarantee for
+    # the agent's entitlement, and the mode and epsilon are ones alloc accepts
+    doc = json.loads(out.read_text())
+    doc["guarantees"][0]["rho"] = "1/1000"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("verify", str(bad)) == 1
+    assert f"recorded rho for {agent} is wrong" in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    for field, value in (("mode", "apss"), ("mode", "standard"), ("epsilon", "1"), ("epsilon", "0")):
+        bad.write_text(json.dumps({**doc, field: value}))
+        assert run_cli("verify", str(bad)) == 2
+        assert f"'{field}' must" in capsys.readouterr().err
+
+
+def test_cli_alloc_takes_a_value_spread_beyond_floats(tmp_path):
+    # K = 10**400 as a float overflows; the call budget takes log K from ints
+    inst_path = tmp_path / "inst.json"
+    inst = make_instance(["e1", "e2"], [("a", 1, AdditiveValuation({"e1": 1, "e2": Fraction(1, 10**400)}))])
+    inst_path.write_text(dumps(instance_to_dict(inst)))
+    out = tmp_path / "alloc.json"
+    assert run_cli("alloc", str(inst_path), "--epsilon", "1/10", "-o", str(out)) == 0
+    assert run_cli("verify", str(out)) == 0
+
 
 @pytest.mark.parametrize("options", [(), ("--epsilon", "1/10"), ("--mode", "mms")])
 def test_cli_alloc_instance_without_items(tmp_path, options):

@@ -11,13 +11,11 @@ from hypothesis import given, settings, strategies as st
 import corpus_helpers as ch
 from bidfair.model import FractionalPartition
 from bidfair.shares import (
-    SizeGuardSettingError,
     _closure,
     _ranked_table,
     aps_exact,
     aps_unit_demand,
     best_affordable,
-    default_size_guard,
     mms_exact,
     value_table,
     verify_fractional_partition,
@@ -29,10 +27,12 @@ from bidfair.valuations import (
     RowSubstitutesValuation,
     ScaledValuation,
     SizeGuardExceeded,
+    SizeGuardSettingError,
     TableValuation,
     TruncatedValuation,
     UnitDemandValuation,
     WeightedCoverageValuation,
+    default_size_guard,
     is_monotone_normalized,
     is_submodular,
 )

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from bidfair.model import make_instance
 from bidfair.negatives import gen_random_submodular
 from bidfair.shares import aps_exact, mms_exact
+from bidfair.valuations import AdditiveValuation
 from bidfair.wrapper import (
     ContractViolation,
     call_budget,
@@ -65,6 +67,24 @@ def test_mms_mode_requires_equal_entitlements():
         pytest.skip("random draw happened to be equal")
     with pytest.raises(ValueError):
         conditional_allocate(inst, {a: Fraction(1) for a in inst.agent_ids}, mode="mms")
+
+
+def test_unknown_mode_rejected_like_guarantee_rho():
+    # an unknown mode must not fall through to the spend-capped game
+    v = AdditiveValuation({"e1": 1, "e2": 2})
+    inst = make_instance(["e1", "e2"], [("a0", Fraction(1, 3), v), ("a1", Fraction(2, 3), v)])
+    with pytest.raises(ValueError) as expected:
+        guarantee_rho("apss", Fraction(1, 3))
+    with pytest.raises(ValueError) as caught:
+        conditional_allocate(inst, {"a0": Fraction(1), "a1": Fraction(1)}, mode="apss")
+    assert str(caught.value) == str(expected.value) == "unknown mode 'apss'"
+
+
+def test_call_budget_takes_the_log_of_a_huge_spread_exactly():
+    # K = 10**400 overflows a float; log K = 400 ln 10 = 921.03..., over eps = 1/10
+    assert call_budget(2, Fraction(1, 10), 10**400) == 2 * 9211 + 1
+    assert call_budget(2, Fraction(1, 10), Fraction(10**400, 3)) == 2 * 9200 + 1
+    assert call_budget(3, Fraction(1, 2), Fraction(1)) == 1
 
 
 def test_unconditional_guarantee_and_iteration_bound():
@@ -142,9 +162,6 @@ def test_epsilon_bounds_validated():
 
 def test_single_call_when_initial_guesses_succeed():
     # one agent valuing everything equally: the opening guess v(M) is met
-    from bidfair.valuations import AdditiveValuation
-    from bidfair.model import make_instance
-
     v = AdditiveValuation({"e1": 1, "e2": 1})
     inst = make_instance(["e1", "e2"], [("solo", 1, v)])
     outcome = unconditional_allocate(inst, Fraction(1, 10), mode="aps")
