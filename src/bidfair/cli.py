@@ -87,10 +87,10 @@ def _parse_int(text: str, what: str) -> int:
 
 # ---------------------------------------------------------------- gen
 
-def _generate(generator, *args, **kwargs):
-    """Call an instance generator; its ValueError is an out-of-range argument."""
+def _checked(function, *args, **kwargs):
+    """``function(*args, **kwargs)``; a ValueError it raises is an input error."""
     try:
-        return generator(*args, **kwargs)
+        return function(*args, **kwargs)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -104,15 +104,15 @@ NEGATIVE_KINDS = {
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "random":
-        instance = _generate(
+        instance = _checked(
             negatives.gen_random_submodular,
             seed=args.seed, n=args.agents, m=args.items,
             universe=args.universe, entitlements=args.entitlements,
         )
     elif args.kind == "xos-hard":
-        instance = _generate(negatives.gen_xos_hard, args.agents, args.k).instance
+        instance = _checked(negatives.gen_xos_hard, args.agents, args.k).instance
     elif args.kind in NEGATIVE_KINDS:
-        instance = _generate(NEGATIVE_KINDS[args.kind], args.k).instance
+        instance = _checked(NEGATIVE_KINDS[args.kind], args.k).instance
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown kind {args.kind}")
     _write_text(args.output, serialize.dumps(serialize.instance_to_dict(instance)))
@@ -157,6 +157,11 @@ def _exact_share(kind: str, instance: Instance, spec: AgentSpec) -> Fraction:
     return mms_exact(spec.valuation, len(instance.agents), instance.items).value
 
 
+def _unmet(entries: list[dict]) -> list[str]:
+    """The agents whose guarantee entries record a failure."""
+    return [entry["agent"] for entry in entries if entry.get("passed") is False]
+
+
 # ---------------------------------------------------------------- play
 
 def _parse_strategy_spec(
@@ -183,10 +188,10 @@ def _parse_strategy_spec(
     if name == "proportional":
         share = share_value(params.get("share", "aps"))
         rho = serialize.parse_rational(params["rho"]) if "rho" in params else None
-        return ProportionalBidder(spec.valuation, spec.entitlement, share, rho)
+        return _checked(ProportionalBidder, spec.valuation, spec.entitlement, share, rho)
     if name == "altruistic":
         share = share_value(params.get("share", "mms"))
-        return AltruisticProportionalBidder(spec.valuation, spec.entitlement, share)
+        return _checked(AltruisticProportionalBidder, spec.valuation, spec.entitlement, share)
     if name == "unit_demand":
         return UnitDemandFullBudgetBidder(spec.valuation)
     if name == "greedy":
@@ -202,22 +207,20 @@ def _parse_strategy_spec(
 
 def _game_config_from_args(args: argparse.Namespace) -> GameConfig:
     rho = serialize.parse_rational(args.rho) if args.rho else None
-    try:
-        tie = TieBreak(
-            policy=args.tiebreak,
-            seed=args.seed if args.tiebreak == "seeded" else None,
-            target=args.target if args.tiebreak == "adversarial" else None,
-        )
-        return GameConfig(mode=args.mode, rho=rho, strict_threshold=not args.lenient_threshold, tie=tie)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    tie = _checked(
+        TieBreak,
+        policy=args.tiebreak,
+        seed=args.seed if args.tiebreak == "seeded" else None,
+        target=args.target if args.tiebreak == "adversarial" else None,
+    )
+    return _checked(GameConfig, mode=args.mode, rho=rho, strict_threshold=not args.lenient_threshold, tie=tie)
 
 
 def _builtin_run(args: argparse.Namespace) -> int:
     if args.builtin == "xos-hard":
-        run = _generate(negatives.gen_xos_hard, args.agents, args.k)
+        run = _checked(negatives.gen_xos_hard, args.agents, args.k)
     else:
-        run = _generate(NEGATIVE_KINDS[args.builtin], args.k)
+        run = _checked(NEGATIVE_KINDS[args.builtin], args.k)
     allocation, transcript = run.execute()
     value = run.instance.valuation(run.agent).value(allocation[run.agent])
     ok = value <= run.expected_value if run.value_is_upper_bound else value == run.expected_value
@@ -236,6 +239,23 @@ def _builtin_run(args: argparse.Namespace) -> int:
     )
     _write_text(args.output, serialize.dumps(doc))
     return EXIT_OK if ok else EXIT_FAIL
+
+
+def _play_entries(instance: Instance, allocation, shares: dict, kind: str, target: Fraction) -> list[dict]:
+    """``play``'s guarantee entries: is each bundle worth ``target`` times the agent's share?"""
+    report = guarantee_report(instance, allocation, shares, {a: target for a in shares})
+    return [
+        {
+            "agent": e.agent,
+            "share": e.share,
+            "share_kind": kind,
+            "bundle_value": e.bundle_value,
+            "target_rho": e.target,
+            "ratio": e.ratio,
+            "passed": e.passed,
+        }
+        for e in report.entries
+    ]
 
 
 def cmd_play(args: argparse.Namespace) -> int:
@@ -268,140 +288,143 @@ def cmd_play(args: argparse.Namespace) -> int:
     allocation, transcript = run_game(instance, strategies, config)
 
     guarantees = None
-    failed = False
     if args.report_shares:
         shares = {a: exact_share(args.report_shares, a) for a in instance.agent_ids}
         target = serialize.parse_rational(args.target_rho) if args.target_rho else Fraction(0)
-        report = guarantee_report(instance, allocation, shares, {a: target for a in shares})
-        failed = not report.all_passed
-        guarantees = [
-            {
-                "agent": e.agent,
-                "share": serialize.rational_str(e.share),
-                "share_kind": args.report_shares,
-                "bundle_value": serialize.rational_str(e.bundle_value),
-                "target_rho": serialize.rational_str(e.target),
-                "ratio": serialize.rational_str(e.ratio) if e.ratio is not None else None,
-                "passed": e.passed,
-            }
-            for e in report.entries
-        ]
+        guarantees = _play_entries(instance, allocation, shares, args.report_shares, target)
     _write_text(args.output, serialize.dumps(serialize.report_to_dict(instance, transcript, guarantees)))
-    return EXIT_FAIL if failed else EXIT_OK
+    return EXIT_FAIL if _unmet(guarantees or []) else EXIT_OK
 
 
 # ---------------------------------------------------------------- alloc
 
-def cmd_alloc(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
-    epsilon = serialize.parse_rational(args.epsilon) if args.epsilon else default_epsilon(args.mode, instance)
+def _alloc_run(instance: Instance, mode: str, epsilon: Fraction, check_exact: bool, on_iteration=None):
+    """The transcript, entries and extras of an ``alloc`` report; with exact
+    shares, each entry says if the bundle is worth (1 - epsilon) * rho * share."""
     exact = None
-    if args.check_exact:
-        exact = {spec.id: _exact_share(args.mode, instance, spec) for spec in instance.agents}
-    try:
-        outcome = unconditional_allocate(
-            instance, epsilon, mode=args.mode, exact_shares=exact
-        )
-    except ContractViolation as exc:
-        sys.stderr.write(f"contract violation: {exc}\n")
-        return EXIT_CONTRACT
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-    failed = False
-    guarantees = []
+    if check_exact:
+        exact = {spec.id: _exact_share(mode, instance, spec) for spec in instance.agents}
+    outcome = _checked(
+        unconditional_allocate, instance, epsilon, mode=mode, exact_shares=exact, on_iteration=on_iteration
+    )
+    entries = []
     for spec in instance.agents:
-        rho = guarantee_rho(args.mode, spec.entitlement)
+        rho = guarantee_rho(mode, spec.entitlement)
         value = spec.valuation.value(outcome.allocation[spec.id])
         entry = {
             "agent": spec.id,
-            "guess": serialize.rational_str(outcome.guesses[spec.id]),
-            "bundle_value": serialize.rational_str(value),
-            "rho": serialize.rational_str(rho),
+            "guess": outcome.guesses[spec.id],
+            "bundle_value": value,
+            "rho": rho,
         }
         if exact is not None:
-            share = exact[spec.id]
-            needed = (1 - epsilon) * rho * share
-            entry["share"] = serialize.rational_str(share)
-            entry["passed"] = value >= needed
-            if not entry["passed"]:
-                failed = True
-        guarantees.append(entry)
-    doc = serialize.report_to_dict(
-        instance,
-        outcome.transcript,
-        guarantees=guarantees,
-        extra={
-            "mode": args.mode,
-            "epsilon": serialize.rational_str(epsilon),
-            "conditional_calls": outcome.calls,
-        },
-    )
+            entry["share"] = exact[spec.id]
+            entry["passed"] = value >= (1 - epsilon) * rho * exact[spec.id]
+        entries.append(entry)
+    extra = {
+        "mode": mode,
+        "epsilon": epsilon,
+        "conditional_calls": outcome.calls,
+    }
+    return outcome.transcript, entries, extra
+
+
+def cmd_alloc(args: argparse.Namespace) -> int:
+    instance = _load_instance(args.instance)
+    epsilon = serialize.parse_rational(args.epsilon) if args.epsilon else default_epsilon(args.mode, instance)
+    transcript, guarantees, extra = _alloc_run(instance, args.mode, epsilon, args.check_exact)
+    doc = serialize.report_to_dict(instance, transcript, guarantees, extra)
     _write_text(args.output, serialize.dumps(doc))
-    return EXIT_CONTRACT if failed else EXIT_OK
+    return EXIT_CONTRACT if _unmet(guarantees) else EXIT_OK
 
 
 # ---------------------------------------------------------------- verify
 
-def _alloc_inputs(doc: dict) -> tuple[str, Fraction]:
-    """The mode and epsilon an ``alloc`` report records, checked as ``alloc``
-    checks its options."""
-    mode = doc["mode"]
-    if mode not in ("aps", "mms"):
-        raise serialize.ParseError(f"'mode' must be \"aps\" or \"mms\", not {mode!r}")
-    epsilon = serialize.parse_rational(doc["epsilon"])
-    if not 0 < epsilon < 1:
-        raise serialize.ParseError(f"'epsilon' must lie in (0, 1), not {epsilon}")
-    return mode, epsilon
+class _Rejected(Exception):
+    """Why a report does not verify (exit 1): a field its rebuild differs in, or a recorded failure."""
+
+
+def _share_kind(doc: dict, field: str) -> str:
+    """``doc[field]``, which names a share as ``_exact_share`` takes it."""
+    if doc[field] not in ("aps", "mms"):
+        raise serialize.ParseError(f"{field!r} must be \"aps\" or \"mms\", not {doc[field]!r}")
+    return doc[field]
+
+
+def _compare(recorded: dict, rebuilt: dict, whose: str = "") -> None:
+    """Reject at the first field of ``rebuilt`` whose recorded value differs ("2/2" equals 1)."""
+    for field, want in rebuilt.items():
+        if want is None or isinstance(want, Fraction):
+            got = recorded[field]
+            got = None if got is None else serialize.parse_rational(got)
+        else:
+            got = serialize._typed(recorded, field, type(want))
+        if got != want:
+            what = "guarantee flag" if field == "passed" else "recorded " + field.replace("_", " ")
+            raise _Rejected(f"{what}{whose} is wrong")
+
+
+def _rebuild_builtin(doc: dict, instance: Instance, transcript, recorded: list[dict]) -> list[dict]:
+    """No entries; of the extras, only the agent's value can be rebuilt from the report."""
+    agent = instance.agent(serialize._typed(doc, "agent", str))
+    _compare(doc, {"agent_value": agent.valuation.value(transcript.allocation.get(agent.id, frozenset()))})
+    if not serialize._typed(doc, "reproduced", bool):
+        raise _Rejected(f"builtin run {doc['builtin']} not reproduced")
+    return []
+
+
+def _rebuild_play(doc: dict, instance: Instance, transcript, recorded: list[dict]) -> list[dict]:
+    """Each ``play`` entry, rebuilt at its own share kind and target."""
+    rebuilt = []
+    for entry in recorded:
+        kind = _share_kind(entry, "share_kind")
+        spec = instance.agent(entry["agent"])
+        shares = {spec.id: _exact_share(kind, instance, spec)}
+        target = serialize.parse_rational(entry["target_rho"])
+        rebuilt += _play_entries(instance, transcript.allocation, shares, kind, target)
+    return rebuilt
+
+
+def _rebuild_alloc(doc: dict, instance: Instance, transcript, recorded: list[dict]) -> list[dict]:
+    """``alloc`` re-run at the recorded mode and epsilon, stopped one game past the recorded count."""
+    mode, epsilon = _share_kind(doc, "mode"), serialize.parse_rational(doc["epsilon"])
+    calls = serialize._typed(doc, "conditional_calls", int)
+
+    def stop_past_record(call: int, *_) -> None:
+        if call > calls:
+            raise _Rejected("recorded conditional calls is wrong")
+
+    check_exact = any("share" in entry for entry in recorded)  # alloc --check-exact
+    rerun, rebuilt, extra = _alloc_run(instance, mode, epsilon, check_exact, stop_past_record)
+    if rerun != transcript:
+        raise _Rejected("recorded transcript is wrong")
+    _compare(doc, extra)
+    return rebuilt
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     doc = serialize.loads(_read_text(args.report))
-    instance, transcript, guarantees = serialize.report_from_dict(doc)
+    instance, transcript, recorded = serialize.report_from_dict(doc)
     try:
         check_transcript(transcript, instance)
     except RuleViolation as exc:
         sys.stderr.write(f"transcript does not verify: {exc}\n")
         return EXIT_FAIL
-    unmet = None  # the first agent whose recorded guarantee failed
+    rebuild = _rebuild_builtin if "builtin" in doc else _rebuild_alloc if "mode" in doc else _rebuild_play
     try:
-        for entry in guarantees:
-            agent = entry["agent"]
-            value = instance.valuation(agent).value(transcript.allocation.get(agent, frozenset()))
-            if serialize.parse_rational(entry["bundle_value"]) != value:
-                sys.stderr.write(f"recorded bundle value for {agent} is wrong\n")
-                return EXIT_FAIL
-            if "rho" in entry:  # alloc: rho is the mode's guarantee at the agent's entitlement
-                mode, epsilon = _alloc_inputs(doc)
-                rho = serialize.parse_rational(entry["rho"])
-                if rho != guarantee_rho(mode, instance.entitlement(agent)):
-                    sys.stderr.write(f"recorded rho for {agent} is wrong\n")
-                    return EXIT_FAIL
-            if "share" not in entry:
-                continue
-            share = serialize.parse_rational(entry["share"])
-            if "target_rho" in entry:  # play: value >= target_rho * share
-                kind = entry["share_kind"]
-                if kind not in ("aps", "mms"):
-                    raise serialize.ParseError(f"'share_kind' must be \"aps\" or \"mms\", not {kind!r}")
-                ratio = None if entry["ratio"] is None else serialize.parse_rational(entry["ratio"])
-                if ratio != (value / share if share > 0 else None):
-                    sys.stderr.write(f"recorded ratio for {agent} is wrong\n")
-                    return EXIT_FAIL
-                target = serialize.parse_rational(entry["target_rho"])
-                passed = True if share <= 0 else value >= target * share
-            else:  # alloc: value >= (1 - epsilon) * rho * share
-                passed = value >= (1 - epsilon) * rho * share
-            if serialize._typed(entry, "passed", bool, True) != passed:
-                sys.stderr.write(f"guarantee flag for {agent} is wrong\n")
-                return EXIT_FAIL
-            if not passed and unmet is None:
-                unmet = agent
+        rebuilt = rebuild(doc, instance, transcript, recorded)
+        for entry, want in zip(recorded, rebuilt):
+            _compare(entry, want, f" for {want['agent']}")
+        if len(recorded) != len(rebuilt):
+            raise _Rejected(f"recorded guarantees cover {len(recorded)} agents, not {len(rebuilt)}")
+        unmet = _unmet(rebuilt)
+        if unmet:
+            raise _Rejected(f"guarantee for {unmet[0]} not met")
+    except (_Rejected, ContractViolation) as exc:  # the re-run of alloc may break its contract
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_FAIL
     except (KeyError, TypeError, serialize.ParseError) as exc:
         raise InputError(f"bad guarantee entry: {exc}") from exc
-    if unmet is not None:
-        sys.stderr.write(f"guarantee for {unmet} not met\n")
-        return EXIT_FAIL
     sys.stdout.write("report verified\n")
     return EXIT_OK
 
@@ -410,10 +433,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_lpcert(args: argparse.Namespace) -> int:
     n = None if args.n == "inf" else _parse_int(args.n, "--n")
-    try:
-        system = build_theorem_system(serialize.parse_rational(args.z), n)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    system = _checked(build_theorem_system, serialize.parse_rational(args.z), n)
     outcome = check_feasible(system)
     doc: dict = {
         "format": serialize.FORMAT_LPCERT,
@@ -510,6 +530,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, serialize.ParseError, SizeGuardExceeded, SizeGuardSettingError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except ContractViolation as exc:  # from alloc; verify reports its own as a failure
+        sys.stderr.write(f"contract violation: {exc}\n")
+        return EXIT_CONTRACT
     except Exception as exc:  # anything else is a bug, never a guarantee failure
         sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
         return EXIT_CONTRACT

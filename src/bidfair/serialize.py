@@ -57,7 +57,8 @@ def _fraction(text: str) -> Fraction:
 
 
 def dumps(document: Mapping[str, Any]) -> str:
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    """``document`` as indented JSON with sorted keys, each Fraction as "p/q"."""
+    return json.dumps(document, sort_keys=True, indent=2, default=rational_str) + "\n"
 
 
 def loads(text: str) -> dict:
@@ -372,4 +373,4 @@ def report_from_dict(doc: Mapping[str, Any]) -> tuple[Instance, Transcript, list
     _expect(doc, FORMAT_REPORT)
     instance = instance_from_dict(_typed(doc, "instance", dict))
     transcript = transcript_from_dict(_typed(doc, "transcript", dict))
-    return instance, transcript, doc.get("guarantees", [])
+    return instance, transcript, _all_typed(_typed(doc, "guarantees", list, []), dict, "guarantee entry")

@@ -126,7 +126,7 @@ def unconditional_allocate(
     """
     epsilon = Fraction(epsilon)
     if not (0 < epsilon < 1):
-        raise ValueError("epsilon must lie in (0, 1)")
+        raise ValueError(f"'epsilon' must lie in (0, 1), not {epsilon}")
     spread = value_spread_bound(instance)
     ids = instance.agent_ids
     totals = {a.id: a.valuation.value(instance.item_set) for a in instance.agents}

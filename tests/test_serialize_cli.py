@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bidfair import cli
+from bidfair import cli, wrapper
 from bidfair.cli import main
 from bidfair.engine import GameConfig, TieBreak, run_game, verify_transcript
 from bidfair.model import make_instance
@@ -369,6 +369,105 @@ def test_cli_alloc_instance_without_items(tmp_path, options):
         assert doc["epsilon"] == "2/3"
 
 
+# SHA-256 of `bidfair alloc` reports, recorded before the entry code moved into
+# one builder that `bidfair verify` re-runs.
+ALLOC_DOCUMENT_DIGESTS = {
+    ("random", "--mode", "aps", "--epsilon", "1/10"):
+        "29201af11901a5b73353664f87a30dd5da47a89172a8f4a89b4197785287af05",
+    ("random", "--mode", "aps", "--epsilon", "1/10", "--check-exact"):
+        "2cec37760a07686584bb2aaa925be568e7f9a012315fd7496481a6044a30bc8a",
+    ("equal", "--mode", "mms", "--check-exact"):
+        "c7dad0af4452b78867b2d6de1877c72d8854290faeaec7dc487166448a13aff7",
+}
+
+
+@pytest.mark.parametrize("argv", list(ALLOC_DOCUMENT_DIGESTS))
+def test_cli_alloc_documents_are_pinned(tmp_path, argv):
+    entitlements, *options = argv
+    inst_path = tmp_path / "inst.json"
+    out = tmp_path / "alloc.json"
+    run_cli("gen", "random", "--seed", "6", "--agents", "3", "--items", "6",
+            "--entitlements", entitlements, "-o", str(inst_path))
+    assert run_cli("alloc", str(inst_path), *options, "-o", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ALLOC_DOCUMENT_DIGESTS[argv]
+    assert run_cli("verify", str(out)) == 0
+
+
+def _alloc_report(tmp_path):
+    """The path and document of an `alloc --check-exact` report on equal
+    entitlements that took three games."""
+    inst_path = tmp_path / "inst.json"
+    out = tmp_path / "alloc.json"
+    run_cli("gen", "random", "--seed", "4", "--agents", "3", "--items", "6", "-o", str(inst_path))
+    assert run_cli("alloc", str(inst_path), "--epsilon", "1/10", "--check-exact", "-o", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["conditional_calls"] == 3
+    return out, doc
+
+
+def _mms_at_ten_27ths(doc):
+    doc["mode"] = "mms"
+    for entry in doc["guarantees"]:
+        entry["rho"] = "10/27"
+
+
+def _set(field, value):
+    return lambda doc: doc.update({field: value})
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_mms_at_ten_27ths, "recorded transcript is wrong"),
+        (lambda doc: doc["guarantees"][0].update(guess="1/1000"), "recorded guess for a0 is wrong"),
+        (_set("conditional_calls", -7), "recorded conditional calls is wrong"),
+        (_set("conditional_calls", 0), "recorded conditional calls is wrong"),
+        (_set("conditional_calls", 2), "recorded conditional calls is wrong"),
+        (_set("conditional_calls", 4), "recorded conditional calls is wrong"),
+        (lambda doc: doc["guarantees"].pop(), "recorded guarantees cover 2 agents, not 3"),
+        (lambda doc: doc["guarantees"].pop(0), "recorded agent for a0 is wrong"),
+    ],
+    ids=["mms", "guess", "calls-7", "calls0", "calls-1", "calls+1", "drop-last", "drop-first"],
+)
+def test_cli_verify_reruns_alloc(tmp_path, capsys, tamper, message):
+    out, doc = _alloc_report(tmp_path)
+    tamper(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", str(out)) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_cli_verify_rejects_mms_on_unequal_entitlements(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    out = tmp_path / "alloc.json"
+    run_cli("gen", "random", "--seed", "6", "--agents", "3", "--items", "6",
+            "--entitlements", "random", "-o", str(inst_path))
+    assert run_cli("alloc", str(inst_path), "--epsilon", "1/10", "--check-exact", "-o", str(out)) == 0
+    doc = json.loads(out.read_text())
+    _mms_at_ten_27ths(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", str(out)) == 2
+    assert capsys.readouterr().err == "error: the spend-capped game guarantee needs equal entitlements\n"
+
+
+def test_cli_verify_plays_no_more_games_than_alloc(tmp_path, monkeypatch):
+    # at epsilon 1/10**9 the refinement would take millions of games
+    out, doc = _alloc_report(tmp_path)
+    out.write_text(json.dumps({**doc, "epsilon": "1/1000000000"}))
+    games = []
+    play = wrapper.conditional_allocate
+
+    def counting(*args, **kwargs):
+        games.append(args)
+        return play(*args, **kwargs)
+
+    monkeypatch.setattr(wrapper, "conditional_allocate", counting)
+    assert run_cli("verify", str(out)) == 1
+    assert len(games) == doc["conditional_calls"] + 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -531,7 +630,7 @@ def test_cli_verify_malformed_report_is_input_error(tmp_path, capsys, path, valu
     [
         (0, {"ratio": "7"}, 1),
         (1, {"ratio": None}, 1),
-        (0, {"share": "0"}, 1),  # a share <= 0 has no ratio
+        (0, {"share": "0"}, 1),  # 0 is not a0's APS, which verify recomputes
         (1, {"ratio": "2/2"}, 0),  # any spelling of value/share
         (1, {"share_kind": "mms"}, 0),
     ],
@@ -545,7 +644,65 @@ def test_cli_verify_checks_the_recorded_ratio(tmp_path, capsys, agent, changes, 
     capsys.readouterr()
     assert run_cli("verify", str(report_path)) == code
     if code:
-        assert capsys.readouterr().err == f"recorded ratio for {entry['agent']} is wrong\n"
+        wrong = "share" if "share" in changes else "ratio"
+        assert capsys.readouterr().err == f"recorded {wrong} for {entry['agent']} is wrong\n"
+
+
+def test_cli_verify_recomputes_play_shares(tmp_path, capsys):
+    # both agents' APS is 14; a consistent report with a smaller share is still wrong
+    report_path, doc = _play_report(tmp_path)
+    for share, scale in (("0", None), ("1/100", 100)):  # ratio null, or value / share
+        tampered = json.loads(json.dumps(doc))
+        for entry in tampered["guarantees"]:
+            assert entry["share"] == "14/1"
+            entry["share"] = share
+            entry["ratio"] = scale and rational_str(parse_rational(entry["bundle_value"]) * scale)
+        report_path.write_text(json.dumps(tampered))
+        capsys.readouterr()
+        assert run_cli("verify", str(report_path)) == 1
+        assert capsys.readouterr().err == "recorded share for a0 is wrong\n"
+
+
+def test_cli_verify_play_entry_without_target_is_input_error(tmp_path, capsys):
+    report_path, doc = _play_report(tmp_path)
+    del doc["guarantees"][0]["target_rho"]
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", str(report_path)) == 2
+    assert capsys.readouterr().err == "error: bad guarantee entry: 'target_rho'\n"
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({}, None),
+        ({"agent_value": "99/1"}, "recorded agent value is wrong"),
+        ({"reproduced": False}, "builtin run original_negative_k2 not reproduced"),
+    ],
+)
+def test_cli_verify_checks_builtin_reports(tmp_path, capsys, changes, message):
+    out = tmp_path / "neg.json"
+    assert run_cli("play", "--builtin", "original-negative", "--k", "2", "-o", str(out)) == 0
+    out.write_text(json.dumps({**json.loads(out.read_text()), **changes}))
+    capsys.readouterr()
+    assert run_cli("verify", str(out)) == (1 if message else 0)
+    assert capsys.readouterr().err == (message + "\n" if message else "")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("proportional:rho=0", "rho must be positive"),
+        ("proportional:share=-1", "share must be nonnegative"),
+        ("altruistic:share=-1", "share must be nonnegative"),
+    ],
+)
+def test_cli_out_of_range_strategy_parameters_are_input_errors(tmp_path, capsys, spec, message):
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen", "random", "--seed", "2", "--agents", "2", "--items", "4", "-o", str(inst_path))
+    capsys.readouterr()
+    assert run_cli("play", str(inst_path), "--strategy", f"a0={spec}") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("target_rho, code", [("1/3", 0), ("100", 1)])
