@@ -374,7 +374,13 @@ def _rebuild_builtin(doc: dict, instance: Instance, transcript, recorded: list[d
 
 
 def _rebuild_play(doc: dict, instance: Instance, transcript, recorded: list[dict]) -> list[dict]:
-    """Each ``play`` entry, rebuilt at its own share kind and target."""
+    """Each ``play`` entry, rebuilt at its own share kind and target.
+
+    ``play`` writes the entries only with ``--report-shares``, and then one
+    per agent in id order, so a list present must name exactly those agents.
+    """
+    if "guarantees" in doc and [entry["agent"] for entry in recorded] != sorted(instance.agent_ids):
+        raise _Rejected("recorded guarantees must hold one entry per agent, in id order")
     rebuilt = []
     for entry in recorded:
         kind = _share_kind(entry, "share_kind")

@@ -259,7 +259,7 @@ class _Ledger:
         payment, budget = rnd.payment, self.budgets[winner]
         if self.check_bids:
             bid = rnd.bids[winner]
-            if payment != bid * len(picks):
+            if payment != (bid if len(picks) == 1 else bid * len(picks)):
                 raise broken("payment", winner, f"paid {payment} for {len(picks)} items at {bid}")
             if payment > budget:
                 raise broken("budget", winner, f"paid {payment} from a budget of {budget}")

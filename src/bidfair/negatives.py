@@ -196,9 +196,18 @@ def gen_modified_negative(k: int) -> ScriptedRun:
     return _staged_negative("modified", k, row_values, top_row=False, capped=True)
 
 
+_ZERO = Fraction(0)
+
+
 class XosSniperBidder(Strategy):
     """Reactive adversary: once the victim holds an item of some column, bid
-    everything until that column is exhausted, taking its items."""
+    everything until that column is exhausted, taking its items.
+
+    The targets, the sorted items of the columns the victim holds, are
+    listed again only when her bundle changes.  Until then items only leave
+    the game, so the first target still remaining is found by a cursor that
+    only moves forward.
+    """
 
     def __init__(self, victim: str, column_of: Mapping[str, int]) -> None:
         self.victim = victim
@@ -206,19 +215,28 @@ class XosSniperBidder(Strategy):
         self.column_items: dict[int, list[str]] = {}
         for e in sorted(self.column_of):
             self.column_items.setdefault(self.column_of[e], []).append(e)
+        self._held: frozenset[str] | None = None
+        self._targets: list[str] = []
+        self._cursor = 0
 
     def _target(self, state: PublicState) -> str | None:
         """The first remaining item of a column the victim holds an item of."""
+        held = state.bundles[self.victim]
+        if held is not self._held and held != self._held:
+            columns = {self.column_of[e] for e in held}
+            self._targets = sorted(e for c in columns for e in self.column_items[c])
+            self._held = held
+            self._cursor = 0
         remaining = state.remaining  # ascending, as the engine gives it
-        columns = {self.column_of[e] for e in state.bundles[self.victim]}
-        return min(
-            (e for c in columns for e in self.column_items[c] if still_remaining(remaining, e)),
-            default=None,
-        )
+        targets, i = self._targets, self._cursor
+        while i < len(targets) and not still_remaining(remaining, targets[i]):
+            i += 1
+        self._cursor = i
+        return targets[i] if i < len(targets) else None
 
     def bid(self, state: PublicState) -> Fraction:
         if self._target(state) is None:
-            return Fraction(0)
+            return _ZERO
         return state.budgets[self.agent_id]
 
     def pick(self, state: PublicState) -> Sequence[str]:

@@ -38,8 +38,13 @@ class ParseError(ValueError):
 
 
 def rational_str(x: Fraction | int) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    """``x`` as "p/q" in lowest terms, read off ``as_integer_ratio``.
+
+    >>> rational_str(Fraction(-6, 4)), rational_str(3), rational_str(0)
+    ('-3/2', '3/1', '0/1')
+    """
+    n, d = x.as_integer_ratio()
+    return f"{n}/{d}"
 
 
 def parse_rational(text: str) -> Fraction:

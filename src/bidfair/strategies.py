@@ -283,9 +283,16 @@ class ConstantBidder(Strategy):
 
     def __init__(self, amount: Fraction | int) -> None:
         self.amount = Fraction(amount)
+        # the last (budget, bid): a budget changes only on a win
+        self._last: tuple[Fraction | None, Fraction] = (None, self.amount)
 
     def bid(self, state: PublicState) -> Fraction:
-        return min(self.amount, state.budgets[self.agent_id])
+        budget = state.budgets[self.agent_id]
+        last_budget, bid = self._last
+        if budget is not last_budget:
+            bid = min(self.amount, budget)
+            self._last = (budget, bid)
+        return bid
 
     def pick(self, state: PublicState) -> Sequence[str]:
         return [state.remaining[0]]

@@ -110,7 +110,12 @@ def test_overbidding_is_clamped_and_reported():
     _, tr = run_game(
         inst, {"a0": ConstantBidder(5), "a1": ZeroBidder()}, GameConfig()
     )
-    # ConstantBidder clamps itself; force a violation through a raw strategy
+    assert not tr.violations
+    # ConstantBidder clamps itself, to the budget left after each win
+    _, tr = run_game(inst, {"a0": ConstantBidder(Fraction(2, 5)), "a1": ZeroBidder()}, GameConfig())
+    assert [r.bids["a0"] for r in tr.rounds[:2]] == [Fraction(2, 5), Fraction(1, 10)]
+    assert not tr.violations
+    # force a violation through a raw strategy
     class Overbidder(ZeroBidder):
         def bid(self, state):
             return state.budgets[self.agent_id] + 1
@@ -641,6 +646,11 @@ def _equal_budget_game(strategy, **tie):
             lambda: gen_xos_hard(16, 2).execute(),
             "a65fe43a742098232f47a59f31cefba37620d2660c7a95d32223be54b150b847",
             id="xos-hard-16-2",
+        ),
+        pytest.param(
+            lambda: gen_xos_hard(36, 3).execute(),
+            "cc26d0df99051f68cde91769ab3cbf4cc13c7fbdce0f99db4a5bc074add7a4ff",
+            id="xos-hard-36-3",
         ),
         pytest.param(
             lambda: _equal_budget_game(lambda i: RandomBidder(i % 2), policy="seeded", seed=5),

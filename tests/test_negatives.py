@@ -1,12 +1,15 @@
 """Adversarial constructions: exact reproduction of their expected outcomes."""
 
 import math
+import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from bidfair.engine import verify_transcript
+from bidfair.engine import PublicState, run_game, verify_transcript
 from bidfair.negatives import (
+    XosSniperBidder,
     altruistic_negative_ratio,
     gen_altruistic_negative,
     gen_modified_negative,
@@ -17,6 +20,7 @@ from bidfair.negatives import (
     sylvester,
 )
 from bidfair.shares import mms_exact, verify_mms_partition
+from bidfair.strategies import still_remaining
 from bidfair.valuations import XOSValuation, is_submodular
 
 
@@ -146,6 +150,51 @@ def test_cross_column_hard_run():
     for j in range(1, 17):
         columns.append(frozenset(f"r{i:02d}c{j:03d}" for i in range(1, 3)))
     assert verify_mms_partition(tuple(columns), v, run.instance.items, 2)
+
+
+class _RescanCheckedSniper(XosSniperBidder):
+    """A sniper whose memoised target is checked against a full rescan."""
+
+    checks = 0
+
+    def _target(self, state):
+        target = super()._target(state)
+        columns = {self.column_of[e] for e in state.bundles[self.victim]}
+        rescan = min(
+            (e for c in columns for e in self.column_items[c] if still_remaining(state.remaining, e)),
+            default=None,
+        )
+        assert target == rescan
+        self.checks += 1
+        return target
+
+
+@pytest.mark.parametrize("n, k", [(16, 2), (36, 3)])
+def test_sniper_memo_equals_the_rescan(n, k):
+    run = gen_xos_hard(n, k)
+    strategies = {
+        a: _RescanCheckedSniper(*make.args) if getattr(make, "func", None) is XosSniperBidder else make()
+        for a, make in run.strategy_factories.items()
+    }
+    _, checked = run_game(run.instance, strategies, run.config)
+    snipers = [s for s in strategies.values() if isinstance(s, _RescanCheckedSniper)]
+    assert sum(s.checks for s in snipers) >= len(checked.rounds)
+    assert checked == run.execute()[1]
+
+
+def test_sniper_memo_equals_the_rescan_on_random_walks():
+    # the victim gains items of any column, earlier ones too, as items leave
+    column_of = {f"r{i:02d}c{j:03d}": j for i in range(1, 4) for j in range(1, 7)}
+    for seed in range(20):
+        rng = random.Random(seed)
+        sniper = _RescanCheckedSniper("p", column_of)
+        remaining, held = sorted(column_of), frozenset()
+        while remaining:
+            item = remaining.pop(rng.randrange(len(remaining)))
+            if rng.random() < 0.5:
+                held = held | {item}
+            sniper._target(PublicState(0, tuple(remaining), {}, {"p": held}, ()))
+        assert sniper.checks == len(column_of)
 
 
 def test_cross_column_valuation_small_scale_share():

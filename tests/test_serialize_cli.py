@@ -13,7 +13,7 @@ from bidfair import cli, wrapper
 from bidfair.cli import main
 from bidfair.engine import GameConfig, TieBreak, run_game, verify_transcript
 from bidfair.model import make_instance
-from bidfair.negatives import gen_random_submodular
+from bidfair.negatives import gen_random_submodular, gen_xos_hard
 from bidfair.serialize import (
     ParseError,
     config_from_dict,
@@ -24,6 +24,7 @@ from bidfair.serialize import (
     loads,
     parse_rational,
     rational_str,
+    report_to_dict,
     transcript_from_dict,
     transcript_to_dict,
 )
@@ -43,7 +44,11 @@ RATIONAL = re.compile(r"^-?\d+/\d+$")
 
 def test_rational_strings():
     assert rational_str(Fraction(1, 3)) == "1/3"
+    assert rational_str(Fraction(-4, 6)) == "-2/3"
+    assert rational_str(Fraction(0)) == "0/1"
     assert rational_str(2) == "2/1"
+    assert rational_str(-7) == "-7/1"
+    assert rational_str(0) == "0/1"
     assert parse_rational("22/7") == Fraction(22, 7)
     assert parse_rational("5") == Fraction(5)
     with pytest.raises(ParseError):
@@ -103,6 +108,17 @@ def test_all_serialized_rationals_are_exact_strings():
             assert RATIONAL.match(w)
     text = dumps(doc)
     assert not re.search(r"\d+\.\d+", text)  # no decimal literals anywhere
+
+
+def test_xos_report_bytes_are_pinned():
+    # SHA-256 recorded when rational_str still re-wrapped each value in a
+    # Fraction; unlike the transcript pin, the report holds the XOS clauses
+    run = gen_xos_hard(16, 2)
+    _, tr = run.execute()
+    text = dumps(report_to_dict(run.instance, tr))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9d517c19cb0ccda9703383120700b195ea090ce940256116d03211e0e5221992"
+    )
 
 
 def test_config_round_trip():
@@ -720,6 +736,29 @@ def test_cli_verify_fails_a_report_that_records_a_failure(tmp_path, capsys, targ
     assert run_cli("verify", str(report_path)) == code
     out, err = capsys.readouterr()
     assert (out, err) == (("report verified\n", "") if code == 0 else ("", "guarantee for a0 not met\n"))
+
+
+@pytest.mark.parametrize(
+    "target_rho, tamper",
+    [
+        pytest.param("100", lambda entries: [], id="failing-entries-dropped"),
+        pytest.param("100", lambda entries: entries[1:], id="failing-entry-dropped"),
+        pytest.param("1/3", lambda entries: entries + entries, id="doubled"),
+        pytest.param("1/3", lambda entries: entries[::-1], id="reversed"),
+    ],
+)
+def test_cli_verify_wants_one_play_entry_per_agent(tmp_path, capsys, target_rho, tamper):
+    inst_path = tmp_path / "inst.json"
+    report_path = tmp_path / "report.json"
+    run_cli("gen", "random", "--seed", "2", "--agents", "2", "--items", "4", "-o", str(inst_path))
+    run_cli("play", str(inst_path), "--report-shares", "aps", "--target-rho", target_rho,
+            "-o", str(report_path))
+    doc = json.loads(report_path.read_text())
+    doc["guarantees"] = tamper(doc["guarantees"])
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", str(report_path)) == 1
+    assert capsys.readouterr().err == "recorded guarantees must hold one entry per agent, in id order\n"
 
 
 @pytest.mark.parametrize(
