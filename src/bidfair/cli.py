@@ -15,6 +15,7 @@ Exit codes: 0 success / pass, 1 guarantee or verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -26,9 +27,9 @@ from .analysis import (
     combine_rows,
     guarantee_report,
 )
-from .engine import GameConfig, RuleViolation, TieBreak, check_transcript, run_game
+from .engine import GameConfig, RuleViolation, TieBreak, Transcript, check_transcript, run_game
 from .model import AgentSpec, Instance
-from .shares import aps_exact, aps_unit_demand, mms_exact
+from .shares import ShareResult, aps_exact, aps_unit_demand, mms_exact
 from .strategies import (
     AltruisticProportionalBidder,
     ConstantBidder,
@@ -95,11 +96,7 @@ def _checked(function, *args, **kwargs):
         raise InputError(str(exc)) from exc
 
 
-NEGATIVE_KINDS = {
-    "altruistic-negative": negatives.gen_altruistic_negative,
-    "original-negative": negatives.gen_original_negative,
-    "modified-negative": negatives.gen_modified_negative,
-}
+NEGATIVE_KINDS = {f"{kind}-negative": gen for kind, gen in negatives.STAGED.items()}
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -121,40 +118,38 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- shares
 
+def _exact_share(kind: str, instance: Instance, spec: AgentSpec) -> ShareResult:
+    """The agent's exact APS at its entitlement (``kind`` "aps") or its MMS over n blocks."""
+    if kind == "aps":
+        return aps_exact(spec.valuation, spec.entitlement, instance.items)
+    return mms_exact(spec.valuation, len(instance.agents), instance.items)
+
+
 def cmd_shares(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     if args.agent and args.agent not in instance.agent_ids:
         raise InputError(f"no agent {args.agent!r} in this instance")
     agents = [args.agent] if args.agent else list(instance.agent_ids)
-    n = len(instance.agents)
     entries = []
     for agent_id in agents:
         spec = instance.agent(agent_id)
-        entry: dict = {"agent": agent_id, "entitlement": serialize.rational_str(spec.entitlement)}
+        entry: dict = {"agent": agent_id, "entitlement": spec.entitlement}
         if args.share in ("mms", "both"):
-            res = mms_exact(spec.valuation, n, instance.items, args.max_items)
-            entry["mms"] = serialize.rational_str(res.value)
+            res = _exact_share("mms", instance, spec)
+            entry["mms"] = res.value
             entry["mms_witness"] = [sorted(b) for b in res.witness]
         if args.share in ("aps", "both"):
-            res = aps_exact(spec.valuation, spec.entitlement, instance.items, args.max_items)
-            entry["aps"] = serialize.rational_str(res.value)
+            res = _exact_share("aps", instance, spec)
+            entry["aps"] = res.value
             entry["aps_witness"] = serialize.partition_to_dict(res.witness)
             if isinstance(spec.valuation, UnitDemandValuation):
-                closed = aps_unit_demand(
+                entry["aps_closed_form"] = aps_unit_demand(
                     [spec.valuation.item_values.get(e, Fraction(0)) for e in instance.items],
                     spec.entitlement,
                 )
-                entry["aps_closed_form"] = serialize.rational_str(closed)
         entries.append(entry)
     _write_text(args.output, serialize.dumps({"format": "bidfair/shares", "version": 1, "shares": entries}))
     return EXIT_OK
-
-
-def _exact_share(kind: str, instance: Instance, spec: AgentSpec) -> Fraction:
-    """The agent's exact APS at its entitlement (``kind`` "aps") or its MMS over n blocks."""
-    if kind == "aps":
-        return aps_exact(spec.valuation, spec.entitlement, instance.items).value
-    return mms_exact(spec.valuation, len(instance.agents), instance.items).value
 
 
 def _unmet(entries: list[dict]) -> list[str]:
@@ -216,29 +211,30 @@ def _game_config_from_args(args: argparse.Namespace) -> GameConfig:
     return _checked(GameConfig, mode=args.mode, rho=rho, strict_threshold=not args.lenient_threshold, tie=tie)
 
 
+def _builtin_report(run: negatives.ScriptedRun) -> tuple[Transcript, dict]:
+    """The transcript and extras of a ``play --builtin`` report of ``run``."""
+    allocation, transcript = run.execute()
+    value = run.instance.valuation(run.agent).value(allocation[run.agent])
+    ok = value <= run.expected_value if run.value_is_upper_bound else value == run.expected_value
+    return transcript, {
+        "builtin": run.name,
+        "agent": run.agent,
+        "agent_value": value,
+        "expected_value": run.expected_value,
+        "share": run.share_value,
+        "share_kind": run.share_kind,
+        "reproduced": ok,
+    }
+
+
 def _builtin_run(args: argparse.Namespace) -> int:
     if args.builtin == "xos-hard":
         run = _checked(negatives.gen_xos_hard, args.agents, args.k)
     else:
         run = _checked(NEGATIVE_KINDS[args.builtin], args.k)
-    allocation, transcript = run.execute()
-    value = run.instance.valuation(run.agent).value(allocation[run.agent])
-    ok = value <= run.expected_value if run.value_is_upper_bound else value == run.expected_value
-    doc = serialize.report_to_dict(
-        run.instance,
-        transcript,
-        extra={
-            "builtin": run.name,
-            "agent": run.agent,
-            "agent_value": serialize.rational_str(value),
-            "expected_value": serialize.rational_str(run.expected_value),
-            "share": serialize.rational_str(run.share_value),
-            "share_kind": run.share_kind,
-            "reproduced": ok,
-        },
-    )
-    _write_text(args.output, serialize.dumps(doc))
-    return EXIT_OK if ok else EXIT_FAIL
+    transcript, extra = _builtin_report(run)
+    _write_text(args.output, serialize.dumps(serialize.report_to_dict(run.instance, transcript, extra=extra)))
+    return EXIT_OK if extra["reproduced"] else EXIT_FAIL
 
 
 def _play_entries(instance: Instance, allocation, shares: dict, kind: str, target: Fraction) -> list[dict]:
@@ -273,13 +269,11 @@ def cmd_play(args: argparse.Namespace) -> int:
         if agent_id not in instance.agent_ids:
             raise InputError(f"no agent {agent_id!r} in this instance")
         assigned[agent_id] = spec_text
-    known: dict[tuple[str, str], Fraction] = {}
 
+    @functools.cache
     def exact_share(kind: str, agent_id: str) -> Fraction:
-        """``_exact_share``, computed at most once per (kind, agent) in this run."""
-        if (kind, agent_id) not in known:
-            known[kind, agent_id] = _exact_share(kind, instance, instance.agent(agent_id))
-        return known[kind, agent_id]
+        """``_exact_share``'s value, computed at most once per (kind, agent) in this run."""
+        return _exact_share(kind, instance, instance.agent(agent_id)).value
 
     strategies = {}
     for agent_id in instance.agent_ids:
@@ -303,7 +297,7 @@ def _alloc_run(instance: Instance, mode: str, epsilon: Fraction, check_exact: bo
     shares, each entry says if the bundle is worth (1 - epsilon) * rho * share."""
     exact = None
     if check_exact:
-        exact = {spec.id: _exact_share(mode, instance, spec) for spec in instance.agents}
+        exact = {spec.id: _exact_share(mode, instance, spec).value for spec in instance.agents}
     outcome = _checked(
         unconditional_allocate, instance, epsilon, mode=mode, exact_shares=exact, on_iteration=on_iteration
     )
@@ -365,11 +359,19 @@ def _compare(recorded: dict, rebuilt: dict, whose: str = "") -> None:
 
 
 def _rebuild_builtin(doc: dict, instance: Instance, transcript, recorded: list[dict]) -> list[dict]:
-    """No entries; of the extras, only the agent's value can be rebuilt from the report."""
-    agent = instance.agent(serialize._typed(doc, "agent", str))
-    _compare(doc, {"agent_value": agent.valuation.value(transcript.allocation.get(agent.id, frozenset()))})
+    """No entries; the named run, built again, must give the report's instance, transcript and extras."""
+    try:
+        run = negatives.named_run(serialize._typed(doc, "builtin", str), len(instance.agents))
+    except ValueError as exc:
+        raise _Rejected(str(exc)) from exc
+    if serialize.instance_to_dict(run.instance) != serialize.instance_to_dict(instance):
+        raise _Rejected("recorded instance is wrong")
+    rerun, extra = _builtin_report(run)
+    if rerun != transcript:
+        raise _Rejected("recorded transcript is wrong")
     if not serialize._typed(doc, "reproduced", bool):
-        raise _Rejected(f"builtin run {doc['builtin']} not reproduced")
+        raise _Rejected(f"builtin run {run.name} not reproduced")
+    _compare(doc, extra)
     return []
 
 
@@ -385,7 +387,7 @@ def _rebuild_play(doc: dict, instance: Instance, transcript, recorded: list[dict
     for entry in recorded:
         kind = _share_kind(entry, "share_kind")
         spec = instance.agent(entry["agent"])
-        shares = {spec.id: _exact_share(kind, instance, spec)}
+        shares = {spec.id: _exact_share(kind, instance, spec).value}
         target = serialize.parse_rational(entry["target_rho"])
         rebuilt += _play_entries(instance, transcript.allocation, shares, kind, target)
     return rebuilt
@@ -444,20 +446,20 @@ def cmd_lpcert(args: argparse.Namespace) -> int:
     doc: dict = {
         "format": serialize.FORMAT_LPCERT,
         "version": serialize.VERSION,
-        "z": serialize.rational_str(system.z),
+        "z": system.z,
         "n": args.n,
-        "rows": [[serialize.rational_str(c) for c in row] for row in system.rows],
-        "rhs": [serialize.rational_str(b) for b in system.rhs],
-        "strict": list(system.strict),
+        "rows": system.rows,
+        "rhs": system.rhs,
+        "strict": system.strict,
         "feasible": outcome.feasible,
     }
     if outcome.feasible:
-        doc["witness"] = {k: serialize.rational_str(v) for k, v in outcome.witness.items()}
+        doc["witness"] = outcome.witness
     else:
         coeffs, constant = combine_rows(system, outcome.certificate)
-        doc["certificate"] = [serialize.rational_str(m) for m in outcome.certificate]
-        doc["combined_coefficients"] = [serialize.rational_str(c) for c in coeffs]
-        doc["combined_constant"] = serialize.rational_str(constant)
+        doc["certificate"] = outcome.certificate
+        doc["combined_coefficients"] = coeffs
+        doc["combined_constant"] = constant
     _write_text(args.output, serialize.dumps(doc))
     return EXIT_OK
 
@@ -483,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_shares.add_argument("instance")
     p_shares.add_argument("--agent")
     p_shares.add_argument("--share", choices=["aps", "mms", "both"], default="both")
-    p_shares.add_argument("--max-items", type=int, default=None)
     p_shares.add_argument("-o", "--output", default="-")
     p_shares.set_defaults(func=cmd_shares)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
@@ -293,6 +294,27 @@ def gen_xos_hard(n: int, k: int) -> ScriptedRun:
         expected_ratio=None,
         value_is_upper_bound=True,
     )
+
+
+STAGED = {
+    "altruistic": gen_altruistic_negative,
+    "original": gen_original_negative,
+    "modified": gen_modified_negative,
+}
+
+
+def named_run(name: str, agents: int) -> ScriptedRun:
+    """The run whose ``name`` is ``name``, or ValueError if no generator above
+    writes that name.  ``agents`` is the agent count of the instance the name
+    came with: a name whose run has another count is refused before anything
+    is built, so a name read from a document cannot make a larger game."""
+    staged = re.fullmatch(r"([a-z]+)_negative_k([1-9]\d*)", name)
+    xos = re.fullmatch(r"xos_hard_n([1-9]\d*)_k([1-9]\d*)", name)
+    if staged and staged[1] in STAGED and sylvester(int(staged[2]))[-1] - 1 == agents:
+        return STAGED[staged[1]](int(staged[2]))
+    if xos and int(xos[1]) == agents:
+        return gen_xos_hard(int(xos[1]), int(xos[2]))
+    raise ValueError(f"no builtin run {name} has {agents} agents")
 
 
 def gen_random_submodular(

@@ -1,7 +1,7 @@
 """Exact share computation: maximin share and anyprice share, with witnesses.
 
 Both computations are exhaustive and exact, guarded by a size limit on the
-item count (default 12, overridable per call or via the BIDFAIR_SIZE_GUARD
+item count (default 12, settable only through the BIDFAIR_SIZE_GUARD
 environment variable).  They are oracles for verifying game guarantees at
 desk scale, not production approximation algorithms.
 
@@ -89,13 +89,11 @@ def _ranked_table(v: ValuationOracle, items: Sequence[str]) -> tuple[list[Fracti
     return [Fraction(key, common) for key in distinct], [rank[key] for key in keys]
 
 
-def mms_exact(
-    v: ValuationOracle, n: int, items: Iterable[str], max_items: int | None = None
-) -> ShareResult:
+def mms_exact(v: ValuationOracle, n: int, items: Iterable[str]) -> ShareResult:
     """Maximin share over partitions into n bundles (empty bundles allowed)."""
     if n < 1:
         raise ValueError("need at least one bundle")
-    items = guarded_items(sorted(items), max_items, "exact share computation")
+    items = guarded_items(sorted(items), "exact share computation")
     m = len(items)
     candidates, ranks = _ranked_table(v, items)
     _, reach = _closure(ranks, m)
@@ -178,17 +176,12 @@ def _packing_witness(
     )
 
 
-def aps_exact(
-    v: ValuationOracle,
-    entitlement: Fraction | int,
-    items: Iterable[str],
-    max_items: int | None = None,
-) -> ShareResult:
+def aps_exact(v: ValuationOracle, entitlement: Fraction | int, items: Iterable[str]) -> ShareResult:
     """Anyprice share by binary search over the distinct achievable bundle values."""
     b = Fraction(entitlement)
     if not (0 < b <= 1):
         raise ValueError("entitlement must lie in (0, 1]")
-    items = guarded_items(sorted(items), max_items, "exact share computation")
+    items = guarded_items(sorted(items), "exact share computation")
     candidates, ranks = _ranked_table(v, items)
     below, _ = _closure(ranks, len(items))
 
@@ -274,13 +267,12 @@ def best_affordable(
     items: Sequence[str],
     prices: Mapping[str, Fraction],
     budget: Fraction | int,
-    max_items: int | None = None,
 ) -> Fraction:
     """Best bundle value purchasable under given item prices and a budget."""
     budget = Fraction(budget)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    items = guarded_items(sorted(items), max_items, "exact share computation")
+    items = guarded_items(sorted(items), "exact share computation")
     keys, _ = integer_keys([budget] + [prices[e] for e in items])
     limit, scaled_prices = keys[0], keys[1:]
     # each mask costs its lowest-bit predecessor's cost plus one price, the

@@ -42,13 +42,11 @@ def default_size_guard() -> int:
     return int(text)
 
 
-def guarded_items(
-    items: Iterable[str], max_items: int | None, what: str = "exhaustive check"
-) -> tuple[str, ...]:
+def guarded_items(items: Iterable[str], what: str = "exhaustive check") -> tuple[str, ...]:
     """``items`` as a tuple, or SizeGuardExceeded when there are more than
-    ``max_items`` of them (``None``: ``default_size_guard()``)."""
+    ``default_size_guard()`` of them."""
     items = tuple(items)
-    guard = default_size_guard() if max_items is None else max_items
+    guard = default_size_guard()
     if len(items) > guard:
         raise SizeGuardExceeded(f"{what} over {len(items)} items exceeds guard of {guard}")
     return items
@@ -272,11 +270,9 @@ def marginal(v: ValuationOracle, item: str, base: Iterable[str]) -> Fraction:
     return v.value(base | {item}) - v.value(base)
 
 
-def is_monotone_normalized(
-    v: ValuationOracle, items: Sequence[str], max_items: int | None = None
-) -> bool:
+def is_monotone_normalized(v: ValuationOracle, items: Sequence[str]) -> bool:
     """Exhaustively check v(empty) == 0 and v(S) <= v(S + e) for all S, e."""
-    items = guarded_items(items, max_items)
+    items = guarded_items(items)
     if v.value(frozenset()) != 0:
         return False
     for size in range(len(items)):
@@ -289,10 +285,10 @@ def is_monotone_normalized(
     return True
 
 
-def is_submodular(v: ValuationOracle, items: Sequence[str], max_items: int | None = None) -> bool:
+def is_submodular(v: ValuationOracle, items: Sequence[str]) -> bool:
     """Exhaustively check diminishing marginals: for all S subset of T and e
     outside T, v(e | S) >= v(e | T)."""
-    items = guarded_items(items, max_items)
+    items = guarded_items(items)
     universe = frozenset(items)
     subsets = [frozenset(c) for size in range(len(items) + 1) for c in combinations(items, size)]
     for t_set in subsets:

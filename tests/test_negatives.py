@@ -205,7 +205,7 @@ def test_cross_column_valuation_small_scale_share():
     v = XOSValuation(clauses)
     items = [f"r{i:02d}c{j:03d}" for i in range(1, 3) for j in range(1, 5)]
     assert mms_exact(v, 4, items).value == 2
-    assert not is_submodular(v, items[:4] + items[4:6], max_items=6)
+    assert not is_submodular(v, items[:4] + items[4:6])
     # direct check on the 2x2 corner
     corner = ["r01c001", "r01c002", "r02c001", "r02c002"]
     assert not is_submodular(v, corner)

@@ -706,6 +706,40 @@ def test_cli_verify_checks_builtin_reports(tmp_path, capsys, changes, message):
 
 
 @pytest.mark.parametrize(
+    "argv, changes, message",
+    [
+        (("altruistic-negative", "--k", "2"),
+         {"share": "100/1", "expected_value": "7/1", "share_kind": "aps"},
+         "recorded expected value is wrong"),
+        (("altruistic-negative", "--k", "2"), {"share": "100/1"}, "recorded share is wrong"),
+        (("altruistic-negative", "--k", "2"), {"share_kind": "aps"}, "recorded share kind is wrong"),
+        (("altruistic-negative", "--k", "2"), {"builtin": "original_negative_k2"},
+         "recorded instance is wrong"),
+        (("altruistic-negative", "--k", "2"), {"builtin": "altruistic_negative_k4"},
+         "no builtin run altruistic_negative_k4 has 6 agents"),
+        (("altruistic-negative", "--k", "2"), {"builtin": "altruistic_negative_k9"},
+         "k > 6 rejected: the sequence grows doubly exponentially"),
+        (("altruistic-negative", "--k", "2"), {"builtin": "pessimistic_negative_k2"},
+         "no builtin run pessimistic_negative_k2 has 6 agents"),
+        (("altruistic-negative", "--k", "2"), {"builtin": "altruistic_negative_k02"},
+         "no builtin run altruistic_negative_k02 has 6 agents"),
+        (("xos-hard", "--agents", "16", "--k", "2"), {"builtin": "xos_hard_n4096_k2"},
+         "no builtin run xos_hard_n4096_k2 has 16 agents"),
+        (("xos-hard", "--agents", "16", "--k", "2"), {"expected_value": "2/1"},
+         "recorded expected value is wrong"),
+    ],
+)
+def test_cli_verify_rebuilds_builtin_reports_from_their_name(tmp_path, capsys, argv, changes, message):
+    out = tmp_path / "run.json"
+    assert run_cli("play", "--builtin", *argv, "-o", str(out)) == 0
+    assert run_cli("verify", str(out)) == 0
+    out.write_text(json.dumps({**json.loads(out.read_text()), **changes}))
+    capsys.readouterr()
+    assert run_cli("verify", str(out)) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize(
     "spec, message",
     [
         ("proportional:rho=0", "rho must be positive"),
@@ -962,6 +996,51 @@ def test_cli_shares_unit_demand_closed_form_agrees(tmp_path):
     assert entry["aps_closed_form"] == entry["aps"]
 
 
+# SHA-256 of the documents `bidfair shares` and `bidfair lpcert` write,
+# recorded while `shares` still called the oracles itself and wrote each
+# rational through `rational_str`.  "random" is `gen random --seed 3 --agents 3
+# --items 6 --entitlements random`; "unit-demand" is the instance above.
+SHARES_LPCERT_DIGESTS = {
+    ("random", "--share", "both"):
+        "0299912700a9ded9550b685cb3c118600cf45d41c5f0aa3ddf7ddf0bba3360ee",
+    ("random", "--share", "mms"):
+        "87b693689da5809390d3e8304b413dbbc28b879f3a5f34ca2a5ffe669c3227d7",
+    ("random", "--share", "aps", "--agent", "a1"):
+        "82e7e7feb64bd852f04b837c4a0af7a991bce3ca971c749718f6bcb5cc90ea17",
+    ("unit-demand", "--share", "both"):
+        "d8f60cf183e8293d3711b955f7c024959b1875a086933a71566514217850e121",
+    ("lpcert", "--z", "27/10", "--n", "inf"):
+        "e48a88616c0ad0ba13167f0fd7e0a801c2ee20c6a0e2c357948d20d0c29c4d87",
+    ("lpcert", "--z", "13/5", "--n", "100"):
+        "5355ded2dd6b2eb44f415f2b8302c8832b3200e4866ba3e27c288c34a8d0f1ba",
+}
+
+
+@pytest.mark.parametrize("argv", list(SHARES_LPCERT_DIGESTS), ids=" ".join)
+def test_cli_shares_and_lpcert_documents_are_pinned(tmp_path, argv):
+    source, *options = argv
+    if source == "lpcert":
+        command = ["lpcert"]
+    else:
+        path = tmp_path / "inst.json"
+        if source == "random":
+            assert run_cli("gen", "random", "--seed", "3", "--agents", "3", "--items", "6",
+                           "--entitlements", "random", "-o", str(path)) == 0
+        else:
+            inst = make_instance(
+                ["e1", "e2", "e3", "e4"],
+                [
+                    ("p", Fraction(1, 3), UnitDemandValuation({"e1": 5, "e2": 4, "e3": 3, "e4": 2})),
+                    ("q", Fraction(2, 3), AdditiveValuation({"e1": 1})),
+                ],
+            )
+            path.write_text(dumps(instance_to_dict(inst)))
+        command = ["shares", str(path)]
+    out = tmp_path / "out.json"
+    assert run_cli(*command, *options, "-o", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SHARES_LPCERT_DIGESTS[argv]
+
+
 def test_cli_shares_single_agent_instance(tmp_path):
     from bidfair.serialize import instance_to_dict
     inst = make_instance(["e1", "e2"], [("solo", 1, AdditiveValuation({"e1": 2, "e2": 5}))])
@@ -1006,3 +1085,12 @@ def test_cli_argument_validation(tmp_path, capsys):
     assert run_cli("play", str(inst_path), "--strategy", "ghost=greedy") == 2
     assert run_cli("shares", str(inst_path), "--agent", "ghost") == 2
     capsys.readouterr()
+
+
+def test_cli_shares_has_no_size_option(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen", "random", "--seed", "1", "--agents", "2", "--items", "4", "-o", str(inst_path))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("shares", str(inst_path), "--max-items", "3")
+    assert exc.value.code == 2  # BIDFAIR_SIZE_GUARD is the guard's one setting
+    assert "unrecognized arguments: --max-items" in capsys.readouterr().err

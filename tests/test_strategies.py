@@ -1,5 +1,6 @@
 """Strategy behavior: bid formulas, phases, guarantees on small fixtures."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -620,3 +621,60 @@ def play_small_game(game, scan):
 @given(game=small_games())
 def test_ranked_strategies_play_the_full_scan_games(game):
     assert play_small_game(game, scan=False) == play_small_game(game, scan=True)
+
+
+class FreshTwin(Strategy):
+    """Plays ``make()``, and at every bid and pick builds and starts a fresh
+    ``make()`` at the same state, which must answer the same."""
+
+    def __init__(self, make):
+        self.make = make
+        self.inner = make()
+        self.fresh_capped = False  # did some fresh bidder's cap bind at its first bid?
+
+    def start(self, agent_id, instance, config):
+        super().start(agent_id, instance, config)
+        self.inner.start(agent_id, instance, config)
+        self.game = (agent_id, instance, config)
+
+    def fresh(self):
+        bidder = self.make()
+        bidder.start(*self.game)
+        return bidder
+
+    def bid(self, state):
+        fresh = self.fresh()
+        answer = self.inner.bid(state)
+        assert fresh.bid(state) == answer, f"bid differs in round {state.round}"
+        self.fresh_capped |= fresh.budget_capped_early
+        return answer
+
+    def pick(self, state):
+        answer = list(self.inner.pick(state))
+        assert list(self.fresh().pick(state)) == answer, f"pick differs in round {state.round}"
+        return answer
+
+
+@settings(max_examples=300, deadline=None)
+@given(game=small_games(), strict=st.booleans())
+def test_a_fresh_proportional_bidder_decides_like_the_one_in_game(game, strict):
+    # a bidder's decisions depend on the public state and its arguments only,
+    # so a search may build one per state; its budget_capped_early, read after
+    # one bid, says whether the cap binds at that state
+    items, agents, config = game
+    config = dataclasses.replace(config, strict_threshold=strict)
+    b = Fraction(1, len(agents))
+    strategies = {}
+    for agent_id, v, kind, share, strategy_rho, constant in agents:
+        if kind == "proportional":
+            strategies[agent_id] = FreshTwin(lambda v=v, s=share, r=strategy_rho: ProportionalBidder(v, b, s, r))
+        elif kind == "altruistic":
+            strategies[agent_id] = FreshTwin(lambda v=v, s=share: AltruisticProportionalBidder(v, b, s))
+        elif kind == "constant":
+            strategies[agent_id] = ConstantBidder(Fraction(constant, 4) * b)
+        else:
+            strategies[agent_id] = RANKED_AND_SCAN[kind][0](v)
+    run_game(make_instance(items, [(agent_id, b, v) for agent_id, v, *_ in agents]), strategies, config)
+    for twin in strategies.values():
+        if isinstance(twin, FreshTwin):
+            assert twin.inner.budget_capped_early == twin.fresh_capped
