@@ -12,16 +12,34 @@ values are ranked on integer keys over the table's common denominator
 (``valuations.integer_keys``), so no Fraction is hashed; the share is returned
 as a Fraction.
 
-The anyprice share of an agent with entitlement b is the largest value z for
-which bundle weights {lambda_T} exist with total weight 1, support restricted
-to bundles of value at least z, and per-item coverage at most b.  It is found
-by binary search over the distinct bundle values.  Each probe z solves a
-packing LP: maximise sum lambda_T subject to per-item coverage at most b,
-over the inclusion-minimal bundles at z (value at least z, no proper subset
-of value at least z).  Shrinking a support bundle to a minimal one only lowers
-coverage, so z is feasible iff the optimum is at least 1, and the witness is
-the optimal lambda scaled to total weight 1.  All rows are <= rows with a
-positive right-hand side, so the exact simplex starts from the slack basis.
+The anyprice share of an agent with entitlement b is the least, over item
+prices p >= 0 summing to 1, of the best value a budget b can buy (Babaioff,
+Ezra and Feige, EC 2021).  Equivalently it is the largest value z for which
+bundle weights {lambda_T} exist with total weight 1, support restricted to
+bundles of value at least z, and per-item coverage at most b.  A probe z
+solves a packing LP: maximise sum lambda_T subject to per-item coverage at
+most b, over the inclusion-minimal bundles at z (value at least z, no proper
+subset of value at least z).  Shrinking a support bundle to a minimal one only
+lowers coverage, so z is reached iff the optimum is at least 1, and the
+witness is the optimal lambda scaled to total weight 1.  All rows are <= rows
+with a positive right-hand side, so the exact simplex starts from the slack
+basis.
+
+The search descends on prices, and each probe is the LP's answer to the one
+before.  Any prices give an upper bound, so the first probe is the best bundle
+affordable under prices proportional to the singletons' nonnegative values
+(uniform when those are all zero).  If a probe z reaches 1, z is both reached
+and an upper bound: it is the anyprice share, and its LP gives the witness.
+Otherwise the LP's duals y price every column at sum_{j in T} y_j >= 1 with
+b * sum y < 1, so under the prices y / sum y every bundle of value at least z
+contains a column and costs more than b.  The best bundle affordable under
+those prices is then strictly below z and still an upper bound: it is the next
+probe.  The probes fall strictly, so the search ends, either on the LP at the
+share itself, the one a search over all values would end on, or at v(empty),
+which the empty bundle reaches alone.  The prices of the last cut (or the
+first prices, if no probe fails) come back with the share: under them the
+best affordable value is the share, an upper certificate to match the
+witness.
 
 The maximin share is the best worst-bundle value over partitions of the items
 into n (possibly empty) bundles; the witness is an optimal partition.  The
@@ -37,7 +55,9 @@ witness are those of the full search, on every table.
 
 One subset closure serves both shares: for every mask, the highest rank of
 any proper subset (the APS columns) and of any subset (the MMS bound), built
-with one pass per item.
+with one pass per item.  The ranked table and its closure are kept for the
+last oracle object and item tuple only, so ``mms_exact`` right after
+``aps_exact`` on one oracle ranks nothing again.
 """
 
 from __future__ import annotations
@@ -56,6 +76,9 @@ from .valuations import ValuationOracle, guarded_items, integer_keys
 class ShareResult:
     value: Fraction
     witness: tuple[frozenset[str], ...] | FractionalPartition
+    # aps_exact only: item prices summing to 1 under which the best affordable
+    # value is the share
+    prices: dict[str, Fraction] | None = None
 
 
 def _mask_to_bundle(mask: int, items: Sequence[str]) -> frozenset[str]:
@@ -89,14 +112,32 @@ def _ranked_table(v: ValuationOracle, items: Sequence[str]) -> tuple[list[Fracti
     return [Fraction(key, common) for key in distinct], [rank[key] for key in keys]
 
 
+_last_table: tuple = (None, (), ())
+
+
+def _table(v: ValuationOracle, items: tuple[str, ...]) -> tuple[list[Fraction], list[int], list[int], list[int]]:
+    """The ranked table of v over items and its closure: the sorted distinct
+    values, each mask's rank, ``below`` and ``reach``.
+
+    Only the last table is kept, keyed on the oracle object and the item
+    tuple; callers pass items that ``guarded_items`` has already admitted.
+    """
+    global _last_table
+    oracle, key, table = _last_table
+    if oracle is not v or key != items:
+        candidates, ranks = _ranked_table(v, items)
+        table = (candidates, ranks, *_closure(ranks, len(items)))
+        _last_table = (v, items, table)
+    return table
+
+
 def mms_exact(v: ValuationOracle, n: int, items: Iterable[str]) -> ShareResult:
     """Maximin share over partitions into n bundles (empty bundles allowed)."""
     if n < 1:
         raise ValueError("need at least one bundle")
     items = guarded_items(sorted(items), "exact share computation")
     m = len(items)
-    candidates, ranks = _ranked_table(v, items)
-    _, reach = _closure(ranks, m)
+    candidates, ranks, _, reach = _table(v, items)
     full = (1 << m) - 1
     # start at the search's first leaf, every item in the first bundle, so the
     # witness is a partition however low the values are
@@ -148,56 +189,70 @@ def _closure(ranks: Sequence[int], m: int) -> tuple[list[int], list[int]]:
     return below, reach
 
 
-def _packing_witness(
-    z_rank: int,
-    ranks: Sequence[int],
-    below: Sequence[int],
-    items: Sequence[str],
-    entitlement: Fraction,
-) -> FractionalPartition | None:
-    """Bundle weights of total 1 reaching rank z_rank, or None if there are none.
+def _affordable(prices: Sequence[Fraction], budget: Fraction) -> list[int]:
+    """The masks over the items of ``prices`` whose cost is at most budget, in
+    mask order.
 
-    Maximises the total weight over the inclusion-minimal bundles at z subject
-    to per-item coverage at most b.  The probe z always exceeds v(empty), so
-    every column is a nonempty bundle and the optimum is finite.
+    Costs are ints over the common denominator of the prices and the budget,
+    and each mask costs its lowest-bit predecessor's cost plus one price, the
+    predecessor ``_bundles`` builds it from.  The empty mask costs nothing, so
+    it is affordable under any nonnegative budget.
+
+    >>> _affordable([Fraction(1, 2), Fraction(1, 3)], Fraction(1, 2))
+    [0, 1, 2]
     """
-    masks = [mask for mask in range(len(ranks)) if ranks[mask] >= z_rank > below[mask]]
-    m = len(items)
-    a_ub = [[(mask >> j) & 1 for mask in masks] for j in range(m)]
-    result = solve_lp([1] * len(masks), a_ub=a_ub, b_ub=[entitlement] * m)
-    if result.objective < 1:
-        return None
-    return FractionalPartition(
-        tuple(
-            (_mask_to_bundle(mask, items), weight / result.objective)
-            for mask, weight in zip(masks, result.x)
-            if weight > 0
-        )
-    )
+    keys, _ = integer_keys([budget, *prices])
+    limit, scaled = keys[0], keys[1:]
+    costs = [0]
+    for mask in range(1, 1 << len(scaled)):
+        low = mask & -mask
+        costs.append(costs[mask ^ low] + scaled[low.bit_length() - 1])
+    return [mask for mask, cost in enumerate(costs) if cost <= limit]
 
 
 def aps_exact(v: ValuationOracle, entitlement: Fraction | int, items: Iterable[str]) -> ShareResult:
-    """Anyprice share by binary search over the distinct achievable bundle values."""
+    """Anyprice share, its witness weights, and prices that bound it from above.
+
+    Each probe z, from the first down, is the best rank affordable under the
+    current prices, so z is at least the share.  Its packing LP either reaches
+    1, and then z is the share and the LP's weights the witness, or its duals,
+    normalised, are the next prices, under which no bundle of rank z or more
+    is affordable.
+    """
     b = Fraction(entitlement)
     if not (0 < b <= 1):
         raise ValueError("entitlement must lie in (0, 1]")
     items = guarded_items(sorted(items), "exact share computation")
-    candidates, ranks = _ranked_table(v, items)
-    below, _ = _closure(ranks, len(items))
+    m = len(items)
+    candidates, ranks, below, _ = _table(v, items)
 
+    weights = [max(candidates[ranks[1 << j]], 0) for j in range(m)]
+    if not any(weights):
+        weights = [1] * m
+    total = sum(weights)
+    prices = [Fraction(w) / total for w in weights]
+    z = max(ranks[mask] for mask in _affordable(prices, b))
     # every z <= v(empty) is witnessed by putting all weight on the empty bundle
-    lo = ranks[0]
-    best = FractionalPartition(((frozenset(), Fraction(1)),))
-    hi = len(candidates) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        witness = _packing_witness(mid, ranks, below, items, b)
-        if witness is None:
-            hi = mid - 1
-        else:
-            lo = mid
-            best = witness
-    return ShareResult(candidates[lo], best)
+    witness = FractionalPartition(((frozenset(), Fraction(1)),))
+    while z > ranks[0]:
+        # z exceeds v(empty), so every column is a nonempty bundle and the
+        # optimum is finite and positive
+        masks = [mask for mask in range(len(ranks)) if ranks[mask] >= z > below[mask]]
+        a_ub = [[(mask >> j) & 1 for mask in masks] for j in range(m)]
+        result = solve_lp([1] * len(masks), a_ub=a_ub, b_ub=[b] * m)
+        if result.objective >= 1:
+            witness = FractionalPartition(
+                tuple(
+                    (_mask_to_bundle(mask, items), weight / result.objective)
+                    for mask, weight in zip(masks, result.x)
+                    if weight > 0
+                )
+            )
+            break
+        total = sum(result.duals)
+        prices = [y / total for y in result.duals]
+        z = max(ranks[mask] for mask in _affordable(prices, b))
+    return ShareResult(candidates[z], witness, dict(zip(items, prices)))
 
 
 def aps_unit_demand(values: Iterable[Fraction | int], entitlement: Fraction | int) -> Fraction:
@@ -273,14 +328,5 @@ def best_affordable(
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     items = guarded_items(sorted(items), "exact share computation")
-    keys, _ = integer_keys([budget] + [prices[e] for e in items])
-    limit, scaled_prices = keys[0], keys[1:]
-    # each mask costs its lowest-bit predecessor's cost plus one price, the
-    # predecessor _bundles builds it from
     bundles = _bundles(items)
-    costs = [0]
-    for mask in range(1, len(bundles)):
-        low = mask & -mask
-        costs.append(costs[mask ^ low] + scaled_prices[low.bit_length() - 1])
-    # the empty bundle costs nothing, so it is always affordable
-    return max(v.value(bundle) for bundle, cost in zip(bundles, costs) if cost <= limit)
+    return max(v.value(bundles[mask]) for mask in _affordable([prices[e] for e in items], budget))

@@ -16,6 +16,7 @@ from bidfair.negatives import (
     gen_original_negative,
     gen_random_submodular,
     gen_xos_hard,
+    named_run,
     standard_negative_ratio,
     sylvester,
 )
@@ -28,6 +29,21 @@ def test_sylvester_values():
     assert sylvester(3) == [2, 3, 7, 43]
     assert sylvester(1) == [2, 3]
     assert sylvester(4) == [2, 3, 7, 43, 1807]
+
+
+@pytest.mark.parametrize("generator", [gen_altruistic_negative, gen_original_negative, gen_modified_negative])
+def test_staged_runs_stop_at_desk_scale(generator):
+    # k = 4 means 1,805 agents and rows of 1,805 items, minutes of play
+    with pytest.raises(ValueError, match="between 1 and 3 at desk scale"):
+        generator(4)
+
+
+@pytest.mark.parametrize("kind", ["altruistic", "original", "modified"])
+def test_named_run_refuses_a_k4_name(kind):
+    # the agent count matches the name, so only the desk-scale limit refuses it
+    assert len(named_run(f"{kind}_negative_k3", 42).instance.agents) == 42
+    with pytest.raises(ValueError, match="between 1 and 3 at desk scale"):
+        named_run(f"{kind}_negative_k4", sylvester(4)[-1] - 1)
 
 
 def test_sylvester_product_identity():

@@ -507,6 +507,16 @@ def test_cli_out_of_range_generator_arguments_are_input_errors(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error: ") and "internal" not in err
 
 
+@pytest.mark.parametrize("command", ["gen", "play"])
+@pytest.mark.parametrize("kind", ["altruistic-negative", "original-negative", "modified-negative"])
+def test_cli_staged_runs_stop_at_k3(capsys, command, kind):
+    argv = ("gen", kind) if command == "gen" else ("play", "--builtin", kind)
+    assert run_cli(*argv, "--k", "4") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: k must be between 1 and 3 at desk scale\n"
+
+
 def test_cli_lpcert(tmp_path):
     out = tmp_path / "cert.json"
     assert run_cli("lpcert", "--z", "27/10", "--n", "inf", "-o", str(out)) == 0

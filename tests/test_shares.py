@@ -6,9 +6,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import corpus_helpers as ch
+from bidfair import shares
 from bidfair.model import FractionalPartition
 from bidfair.shares import (
     _closure,
@@ -489,3 +490,152 @@ def test_best_affordable_matches_brute_force(instance, raw_prices, budget):
     ]
     assert best_affordable(v, items, prices, budget) == max(v.table[b] for b in affordable)
     assert v.evaluated == affordable  # the affordable bundles only, in mask order
+
+
+def aps_bisection(v, entitlement, items):
+    """APS by binary search over the ranks from v(empty) up, one packing LP per
+    probe: the value, the witness, and the number of LPs solved."""
+    items = tuple(sorted(items))
+    m = len(items)
+    candidates, ranks = _ranked_table(v, items)
+    below, _ = _closure(ranks, m)
+    solves = 0
+
+    def probe(z):
+        nonlocal solves
+        solves += 1
+        masks = [mask for mask in range(len(ranks)) if ranks[mask] >= z > below[mask]]
+        a_ub = [[mask >> j & 1 for mask in masks] for j in range(m)]
+        result = solve_lp([1] * len(masks), a_ub=a_ub, b_ub=[entitlement] * m)
+        if result.objective < 1:
+            return None
+        return FractionalPartition(
+            tuple(
+                (mask_bundle(mask, items), weight / result.objective)
+                for mask, weight in zip(masks, result.x)
+                if weight > 0
+            )
+        )
+
+    lo, hi = ranks[0], len(candidates) - 1
+    best = FractionalPartition(((frozenset(), Fraction(1)),))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        witness = probe(mid)
+        if witness is None:
+            hi = mid - 1
+        else:
+            lo, best = mid, witness
+    return candidates[lo], best, solves
+
+
+@st.composite
+def zero_singleton_tables(draw):
+    """Monotone tables over 1..5 items in which every single item is worth 0."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    items = [f"e{j}" for j in range(m)]
+    raw = [0] * (1 << m)
+    for mask in range(1 << m):
+        if bin(mask).count("1") > 1:
+            below = max(raw[mask ^ (1 << j)] for j in range(m) if mask >> j & 1)
+            raw[mask] = below + draw(st.integers(0, 3))
+    table = {mask_bundle(mask, items): x for mask, x in enumerate(raw)}
+    return TableValuation(items, table), items
+
+
+def table_of(items, values):
+    return TableValuation(items, {mask_bundle(mask, items): x for mask, x in enumerate(values)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    instance=st.one_of(small_valuations(), small_tables(), zero_singleton_tables()),
+    entitlement=st.one_of(
+        st.just(Fraction(1)),
+        st.fractions(min_value=Fraction(1, 6), max_value=1, max_denominator=6),
+    ),
+)
+@example(instance=(table_of([], [-2]), []), entitlement=Fraction(1, 2))
+@example(instance=(table_of(["a", "b"], [-1, 0, 0, 3]), ["a", "b"]), entitlement=Fraction(1))
+@example(instance=(table_of(["a", "b"], [-1, 0, 0, 3]), ["a", "b"]), entitlement=Fraction(1, 2))
+@example(instance=(table_of(["a", "b", "c"], [0, 0, 0, 2, 0, 2, 2, 5]), ["a", "b", "c"]), entitlement=Fraction(1, 3))
+def test_price_cuts_match_bisection(instance, entitlement):
+    v, items = instance
+    res = aps_exact(v, entitlement, items)
+    value, witness, _ = aps_bisection(v, entitlement, items)
+    assert (res.value, res.witness) == (value, witness)
+    assert sum(res.prices.values()) == (1 if items else 0)
+    assert best_affordable(v, items, res.prices, entitlement) == res.value
+
+
+def test_price_cuts_solve_fewer_lps_than_bisection(monkeypatch):
+    solves = 0
+
+    def counting(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(shares, "solve_lp", counting)
+    bisection = 0
+    for idx in range(60):
+        inst = ch.instance(idx)
+        for spec in inst.agents:
+            assert aps_exact(spec.valuation, spec.entitlement, inst.items) == ch.aps_of(idx, spec.id)
+            bisection += aps_bisection(spec.valuation, spec.entitlement, inst.items)[2]
+    assert solves < bisection
+
+
+def test_corpus_aps_prices_bound_the_share_from_above():
+    # the prices that come with each share: a point of the price simplex under
+    # which the agent's budget buys exactly the share, no more
+    for idx in range(60):
+        inst = ch.instance(idx)
+        for spec in inst.agents:
+            res = ch.aps_of(idx, spec.id)
+            assert sorted(res.prices) == sorted(inst.items)
+            assert all(p >= 0 for p in res.prices.values())
+            assert sum(res.prices.values()) == 1
+            assert best_affordable(spec.valuation, inst.items, res.prices, spec.entitlement) == res.value
+
+
+def test_mms_right_after_aps_on_one_oracle_queries_nothing():
+    v, items = coverage_fixture(21, m=6)
+    aps_exact(v, Fraction(1, 3), items)
+    before = v.query_count
+    assert before == 1 << len(items)
+    res = mms_exact(v, 3, items)
+    assert v.query_count == before
+    fresh, _ = coverage_fixture(21, m=6)
+    assert res == mms_exact(fresh, 3, items)
+
+
+def test_each_oracle_gets_its_own_table():
+    items = ["e1", "e2", "e3"]
+    low = AdditiveValuation({"e1": 1, "e2": 1, "e3": 1})
+    high = AdditiveValuation({"e1": 2, "e2": 2, "e3": 2})
+    assert aps_exact(low, Fraction(1, 3), items).value == 1
+    assert aps_exact(high, Fraction(1, 3), items).value == 2
+    assert high.query_count == 1 << len(items)
+    assert mms_exact(low, 3, items).value == 1
+    assert mms_exact(high, 3, items).value == 2
+
+
+def test_each_item_set_gets_its_own_table():
+    v = AdditiveValuation({"e1": 1, "e2": 2, "e3": 4})
+    assert aps_exact(v, 1, ["e1", "e2", "e3"]).value == 7
+    assert aps_exact(v, 1, ["e1", "e2"]).value == 3
+    assert mms_exact(v, 1, ["e1", "e2"]).value == 3
+    assert mms_exact(v, 1, ["e2", "e3"]).value == 6
+    assert mms_exact(v, 1, ["e3", "e2"]).value == 6  # the same set in another order
+
+
+def test_size_guard_holds_for_a_memoised_table(monkeypatch):
+    v = AdditiveValuation({f"e{i}": 1 for i in range(5)})
+    items = [f"e{i}" for i in range(5)]
+    assert aps_exact(v, Fraction(1, 2), items).value == 2
+    monkeypatch.setenv("BIDFAIR_SIZE_GUARD", "4")
+    with pytest.raises(SizeGuardExceeded):
+        mms_exact(v, 2, items)
+    with pytest.raises(SizeGuardExceeded):
+        aps_exact(v, Fraction(1, 2), items)
