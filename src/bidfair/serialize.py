@@ -168,13 +168,15 @@ def valuation_from_dict(doc: Mapping[str, Any]) -> ValuationOracle:
             [{e: parse_rational(x) for e, x in clause.items()} for clause in clauses]
         )
     if kind == "row_substitutes":
+        rows = _all_typed(_typed(doc, "rows", list), list, "row")
+        _all_typed(chain.from_iterable(rows), str, "row item")
         return RowSubstitutesValuation(
-            _all_typed(_typed(doc, "rows", list), list, "row"),
+            rows,
             [parse_rational(w) for w in _typed(doc, "weights", list)],
         )
     if kind == "coverage":
         covers = _typed(doc, "covers", dict)
-        _all_typed(covers.values(), list, "cover")
+        _all_typed(chain.from_iterable(_all_typed(covers.values(), list, "cover")), str, "covered element")
         return WeightedCoverageValuation(
             {u: parse_rational(w) for u, w in _typed(doc, "universe", dict).items()},
             {e: frozenset(us) for e, us in covers.items()},
@@ -188,7 +190,7 @@ def _table_from_dict(doc: Mapping[str, Any]) -> TableValuation:
     """A table's ``values`` are ``[items, value]`` pairs; an object keyed by
     comma-joined item ids, as written before, is still read.  The table must
     give exactly one value for every subset of its ``items``."""
-    items = _typed(doc, "items", list)
+    items = _all_typed(_typed(doc, "items", list), str, "table item")
     values = doc["values"]
     if isinstance(values, dict):
         entries = [(k.split(",") if k else [], x) for k, x in values.items()]
@@ -197,6 +199,7 @@ def _table_from_dict(doc: Mapping[str, Any]) -> TableValuation:
         if any(len(entry) != 2 for entry in entries):
             raise ParseError("every table entry must be an [items, value] pair")
         _all_typed((bundle for bundle, _ in entries), list, "table entry's items")
+        _all_typed(chain.from_iterable(bundle for bundle, _ in entries), str, "table entry's item")
     else:
         raise ParseError(f"'values' must be a list, not {type(values).__name__}")
     universe = frozenset(items)
@@ -244,7 +247,7 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
                 parse_rational(a["entitlement"]),
                 valuation_from_dict(_typed(a, "valuation", dict)),
             )
-            for a in _typed(doc, "agents", list)
+            for a in _all_typed(_typed(doc, "agents", list), dict, "agent")
         )
         _all_typed((a.id for a in agents), str, "agent id")
         items = _all_typed(_typed(doc, "items", list), str, "item")

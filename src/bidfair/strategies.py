@@ -5,21 +5,26 @@ as an input rather than computing it, so the same code serves both direct
 play with oracle shares and the guess-refinement allocator.  Strategies see
 the game only through public state and their own value oracle.
 
-The marginal-value strategies rank the remaining items by marginal value over
-the bundle they hold once each time that bundle changes, and between their
-wins take the best still-remaining item from that ranking: a game costs such
-a bidder about (wins + 1) * (items + 1) value queries, not one query per
-remaining item every round.  The ranking is exact for every valuation, and
-it truncates at a ceiling in ints, so a bidder that truncates its valuation
-queries its own oracle, whose cache outlives the game.
+The marginal-value strategies rank the items by marginal value over the
+bundle they hold each time that bundle changes, and between their wins take
+the best still-remaining item from that ranking.  A ranking over one held
+bundle costs m + 1 value queries and depends only on the oracle, the game's
+items and the bundle, so it is computed once per distinct held bundle and
+oracle and shared by every bidder and game on that oracle: the allocator's
+games, which differ in one agent's guess, rank each bundle once in all.  The
+ranking is exact for every valuation, and it truncates at a ceiling in ints,
+so a bidder that truncates its valuation queries and shares its own oracle,
+whose cache outlives the game.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+import weakref
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Sequence
+from operator import neg
+from typing import NamedTuple, Sequence
 
 from .engine import PublicState, Strategy, StrategyError
 from .valuations import ValuationOracle, integer_keys
@@ -38,31 +43,77 @@ def still_remaining(remaining: Sequence[str], item: str) -> bool:
     return i < len(remaining) and remaining[i] == item
 
 
+class _Ranked(NamedTuple):
+    """The untruncated ranking of a universe's items over one held bundle."""
+
+    items: tuple[str, ...]  # the universe less the bundle, larger value first, ascending on ties
+    keys: tuple[int, ...]  # v(held + item) * common, in that order
+    base: Fraction  # v(held)
+    base_key: int  # v(held) * common
+    common: int
+
+
+_UNRANKED = _Ranked((), (), Fraction(0), 0, 1)
+
+# oracle -> universe -> held bundle -> its ranking.  Weak in the oracle, so its
+# rankings go with it; each entry holds no more than the m + 1 cached values
+# it was built from.
+_RANKINGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _at_least(keys: Sequence[int], key: int) -> int:
+    """How many of ``keys``, which descend, are at least ``key``."""
+    return bisect_right(keys, -key, key=neg)
+
+
+def _ranked(valuation: ValuationOracle, universe: Sequence[str], held: frozenset[str]) -> _Ranked:
+    items = [e for e in universe if e not in held]
+    values = [valuation.value(held | {e}) for e in items]
+    base = valuation.value(held)
+    values.append(base)
+    keys, common = integer_keys(values)
+    base_key = keys.pop()
+    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    return _Ranked(
+        tuple(items[j] for j in order), tuple(keys[j] for j in order), base, base_key, common
+    )
+
+
 class _MarginalRanking:
-    """The remaining items ranked by marginal value over one held bundle.
+    """The items ranked by marginal value over one held bundle.
 
-    Ranking over a bundle costs one value query per remaining item, plus one
-    for the bundle itself: items of larger gain come first, and equal gains
-    keep ascending item order.  Gains over a fixed bundle never change and
-    items only leave the game, so until the bundle changes the best item is
-    the first ranked one still remaining, found by a cursor that only moves
-    forward.  This holds for every valuation: it needs no submodularity.
+    A ranking covers the ranking's *universe*, the item list of its first
+    call (in a game, round 1's items), less the held bundle: items of larger
+    gain come first, and equal gains keep ascending item order.  Gains over
+    a fixed bundle never change and items only leave the game, so until the
+    bundle changes the best item is the first ranked one still remaining,
+    found by a cursor that only moves forward.  This holds for every
+    valuation: it needs no submodularity.
 
-    With a ``ceiling`` the ranking is that of min(v, ceiling): the values
-    become int keys over one common denominator and each key is clamped to
-    the ceiling's, so no truncated oracle is queried.  A gain stays an int
-    until ``best`` returns it, as one ``Fraction`` per cursor position.
+    The untruncated ranking, m + 1 value queries, is kept per (oracle,
+    universe, held bundle) and shared by every ``_MarginalRanking`` on that
+    oracle, in this game and later ones.  Entries never change once stored,
+    so rankings running concurrently at worst compute one twice.
+
+    With a ``ceiling`` the ranking is that of min(v, ceiling), with no
+    truncated oracle queried.  Clamping keeps the order, so the items whose
+    value reaches the ceiling form a prefix of the shared order; they tie at
+    the ceiling, and re-sorting that prefix by item gives the truncated
+    order, ties included.  A gain stays an int until ``best`` returns it, as
+    one ``Fraction`` per cursor position.
     """
 
     def __init__(self, valuation: ValuationOracle, ceiling: Fraction | None = None) -> None:
         self.valuation = valuation
         self._ceiling = ceiling
+        self._table: dict[frozenset[str], _Ranked] | None = None  # the universe's rankings
+        self._universe: tuple[str, ...] = ()
         self._held: frozenset[str] | None = None
         self.base = Fraction(0)  # v(held), truncated at the ceiling
-        self._items: list[str] = []
-        self._keys: list[int] = []  # v(held + item) * common, in ranked order
-        self._base_key = 0
-        self._common = 1
+        self._ranked = _UNRANKED
+        self._items: Sequence[str] = ()  # the ranked items, in truncated order
+        self._capped = 0  # how many of them reach the ceiling
+        self._base_key: int | None = 0  # v(held) * common, None when it reaches the ceiling
         self._cursor = 0
         self._gain = Fraction(0)  # the gain at the cursor
 
@@ -70,8 +121,8 @@ class _MarginalRanking:
         """Item of maximal marginal value over ``held``, earliest in
         ascending order on ties, with its gain; ``(None, 0)`` when no item
         remains.  ``remaining`` must be in ascending order, as the engine
-        gives it.  The gain is the same object until the cursor moves or
-        the bundle changes."""
+        gives it, and within the first call's.  The gain is the same object
+        until the cursor moves or the bundle changes."""
         if held is not self._held and held != self._held:
             self._rank(held, remaining)
         items, i = self._items, self._cursor
@@ -88,40 +139,51 @@ class _MarginalRanking:
         return [remaining[0] if gain == 0 else item]
 
     def above(self, bound: Fraction) -> frozenset[str]:
-        """The ranked items whose value with the held bundle exceeds ``bound``."""
+        """The ranked items whose value with the held bundle, truncated at
+        the ceiling, exceeds ``bound``."""
+        if self._ceiling is not None and self._ceiling <= bound:
+            return frozenset()
+        ranked = self._ranked
         n, d = bound.as_integer_ratio()
-        scaled = n * self._common
-        return frozenset(e for e, key in zip(self._items, self._keys) if key * d > scaled)
+        # key * d > n * common exactly when key > floor(n * common / d)
+        return frozenset(ranked.items[: _at_least(ranked.keys, n * ranked.common // d + 1)])
 
     def _move(self, i: int) -> None:
         self._cursor = i
-        if i < len(self._keys):
-            self._gain = Fraction(self._keys[i] - self._base_key, self._common)
-        else:
+        ranked = self._ranked
+        if i < self._capped:
+            self._gain = self._ceiling - self.base
+        elif i >= len(ranked.keys):
             self._gain = Fraction(0)
+        elif self._base_key is None:
+            self._gain = Fraction(ranked.keys[i], ranked.common) - self.base
+        else:
+            self._gain = Fraction(ranked.keys[i] - self._base_key, ranked.common)
 
     def _rank(self, held: frozenset[str], remaining: Sequence[str]) -> None:
-        v = self.valuation
-        values = [v.value(held | {e}) for e in remaining]
-        base = v.value(held)
+        if self._table is None:
+            self._universe = tuple(remaining)
+            self._table = _RANKINGS.setdefault(self.valuation, {}).setdefault(self._universe, {})
+        ranked = self._table.get(held)
+        if ranked is None:
+            ranked = self._table[held] = _ranked(self.valuation, self._universe, held)
+        items, capped = ranked.items, 0
+        base, base_key = ranked.base, ranked.base_key
         ceiling = self._ceiling
-        # exact integer sort keys: the values, then v(held) and the ceiling
-        values.append(base)
         if ceiling is not None:
-            values.append(ceiling)
-        keys, common = integer_keys(values)
-        if ceiling is not None:
-            cap = keys.pop()
-            keys = [k if k < cap else cap for k in keys]
-            base = min(base, ceiling)
-        base_key = keys.pop()
-        order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+            n, d = ceiling.as_integer_ratio()
+            cap = -(-n * ranked.common // d)  # the least key at or above the ceiling
+            capped = _at_least(ranked.keys, cap)
+            if capped > 1:
+                items = tuple(sorted(items[:capped])) + items[capped:]
+            if base_key >= cap:
+                base, base_key = ceiling, None
         self._held = held
+        self._ranked = ranked
         self.base = base
-        self._items = [remaining[j] for j in order]
-        self._keys = [keys[j] for j in order]
+        self._items = items
+        self._capped = capped
         self._base_key = base_key
-        self._common = common
         self._move(0)
 
 

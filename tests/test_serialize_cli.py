@@ -163,6 +163,21 @@ def test_bad_documents_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "valuation, message",
+    [
+        ({"kind": "row_substitutes", "rows": [[{}]], "weights": ["1/1"]}, "every row item must be a string"),
+        ({"kind": "table", "items": [{}], "values": []}, "every table item must be a string"),
+        ({"kind": "table", "items": ["x"], "values": [[[], "0/1"], [[{}], "1/1"]]},
+         "every table entry's item must be a string"),
+    ],
+)
+def test_item_ids_inside_valuations_must_be_strings(valuation, message):
+    agent = {"id": "a", "entitlement": "1/1", "valuation": valuation}
+    with pytest.raises(ParseError, match=message):
+        instance_from_dict({"format": "bidfair/instance", "version": 1, "items": ["x"], "agents": [agent]})
+
+
 # ------------------------------------------------------------ CLI
 
 def run_cli(*argv):
@@ -633,6 +648,8 @@ def _play_report(tmp_path):
         (("guarantees", 1, "share_kind"), MISSING, "bad guarantee entry: 'share_kind'"),
         (("guarantees", 0, "ratio"), "banana", "bad rational 'banana'"),
         (("guarantees", 1, "ratio"), MISSING, "bad guarantee entry: 'ratio'"),
+        (("instance", "agents", 0), ["a0"], "every agent must be an object"),
+        (("instance", "agents", 0, "valuation", "covers", "e00"), [{}], "every covered element must be a string"),
     ],
 )
 def test_cli_verify_malformed_report_is_input_error(tmp_path, capsys, path, value, message):

@@ -1,7 +1,9 @@
 """Strategy behavior: bid formulas, phases, guarantees on small fixtures."""
 
 import dataclasses
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -467,6 +469,68 @@ def test_ceiling_ranking_matches_the_truncated_scan(case):
         remaining.remove(item)
         if keep:
             held = held | {item}
+
+
+@st.composite
+def shared_ranking_cases(draw):
+    """One table valuation and several rankings on it: no ceiling and two
+    ceilings, each with its own order of leaving items, the last over a
+    strict subset of the items; and the order in which the rankings move."""
+    items = [f"e{j}" for j in range(draw(st.integers(1, 4)))]
+    ceilings = draw(st.lists(st.fractions(0, 4, max_denominator=6), min_size=2, max_size=2, unique=True))
+    value = st.sampled_from(ceilings) | st.fractions(-2, 5, max_denominator=5)
+    table = {
+        frozenset(e for j, e in enumerate(items) if mask >> j & 1): draw(value)
+        for mask in range(1 << len(items))
+    }
+    subset = sorted(draw(st.sets(st.sampled_from(items), max_size=len(items) - 1)))
+    last = draw(st.sampled_from([None, *ceilings]))
+    rankings = []
+    for ceiling, universe in [(None, items), (ceilings[0], items), (ceilings[1], items), (last, subset)]:
+        order = draw(st.permutations(universe))
+        kept = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+        rankings.append((ceiling, universe, list(zip(order, kept))))
+    turns = [r for r, (_, universe, _) in enumerate(rankings) for _ in range(len(universe) + 1)]
+    turns = draw(st.permutations(turns))
+    bounds = draw(st.lists(value, max_size=2))
+    return items, table, rankings, turns, bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=shared_ranking_cases())
+def test_rankings_sharing_an_oracle_match_the_truncated_scan(case):
+    # the rankings on one oracle share their untruncated rankings per
+    # universe and held bundle; each must still read as its own scan
+    items, table, rankings, turns, bounds = case
+    v = TableValuation(items, table)
+    states = []
+    for ceiling, universe, moves in rankings:
+        scan = v if ceiling is None else TruncatedValuation(v, ceiling)
+        ranking = _MarginalRanking(v, ceiling)
+        states.append([ranking, scan, universe, frozenset(), list(universe), iter(moves)])
+    for r in turns:
+        ranking, scan, universe, held, remaining, moves = states[r]
+        assert ranking.best(held, remaining) == _best_marginal(scan, held, remaining)
+        assert ranking.base == scan.value(held)
+        for bound in bounds:
+            outside = (e for e in universe if e not in held)
+            assert ranking.above(bound) == {e for e in outside if scan.value(held | {e}) > bound}
+        item, keep = next(moves, (None, False))
+        if item is not None:
+            remaining.remove(item)
+            if keep:
+                states[r][3] = held | {item}
+
+
+def test_rankings_let_their_oracle_go():
+    v = AdditiveValuation({"e1": 2, "e2": 1})
+    ranking = _MarginalRanking(v, Fraction(3, 2))
+    assert ranking.best(frozenset(), ["e1", "e2"]) == ("e1", Fraction(3, 2))
+    assert ranking.best(frozenset(["e1"]), ["e2"]) == ("e2", Fraction(0))
+    ref = weakref.ref(v)
+    del v, ranking
+    gc.collect()
+    assert ref() is None
 
 
 def _bid(p, remaining, budget, held=()):

@@ -1,5 +1,8 @@
 """Guess-refinement allocator: contracts, invariants, iteration bounds."""
 
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -45,6 +48,52 @@ def test_exact_guesses_reach_guaranteed_fractions():
         for a in inst.agents:
             rho = guarantee_rho("aps", a.entitlement)
             assert a.valuation.value(alloc[a.id]) >= rho * shares[a.id]
+
+
+def additive_instance(seed):
+    """Three equal agents with seeded additive values over nine items."""
+    rng = random.Random(seed)
+    items = [f"e{j}" for j in range(9)]
+    valuations = [AdditiveValuation({e: rng.randint(1, 9) for e in items}) for _ in range(3)]
+    return make_instance(items, [(f"a{i}", Fraction(1, 3), v) for i, v in enumerate(valuations)])
+
+
+def test_a_repeated_game_reuses_every_ranking():
+    # rankings are kept per oracle across games: the same guesses play the
+    # same game again without a value query
+    for mode in ("aps", "mms"):
+        inst = additive_instance(3)
+        guesses = {a.id: a.valuation.value(inst.item_set) / 2 for a in inst.agents}
+        first = conditional_allocate(inst, guesses, mode)
+        assert len(first[1].rounds) > len(inst.agents)  # some agent wins twice
+        before = [a.valuation.query_count for a in inst.agents]
+        assert conditional_allocate(inst, guesses, mode) == first
+        assert [a.valuation.query_count for a in inst.agents] == before
+
+
+def test_concurrent_games_on_shared_oracles_play_as_alone():
+    # games on one instance share its oracles' rankings; run at once, with
+    # threads switching often, each still plays the game it plays alone
+    shared = additive_instance(5)
+    guesses = [{a.id: a.valuation.value(shared.item_set) / (2 + k) for a in shared.agents} for k in range(6)]
+    alone = [conditional_allocate(additive_instance(5), g) for g in guesses]
+    results = [None] * len(guesses)
+
+    def play(k):
+        results[k] = conditional_allocate(shared, guesses[k])
+
+    threads = [threading.Thread(target=play, args=(k,)) for k in range(len(guesses))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == alone
 
 
 def test_one_inflated_guess_leaves_others_protected():
