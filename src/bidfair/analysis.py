@@ -182,7 +182,7 @@ def lower_bound_diagnostics(
     taken: set[str] = set()
     settle = None
     for r in range(start_round, len(rounds) + 1):
-        others_active = any(on for aid, on in ledger.active.items() if aid != agent)
+        others_active = len(ledger.active) > (agent in ledger.active)
         if not others_active or not ledger.remaining:
             settle = r
             break

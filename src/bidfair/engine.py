@@ -17,11 +17,11 @@ ledger of the game state, whose ``apply`` checks a round against the rules,
 raising ``RuleViolation`` on the first broken one, and then updates budgets,
 bundles, the remaining items and who is still active.
 
-Bids are compared as exact ints, never by building a ``Fraction`` per bid: a
-bid against its budget by the sign of its numerator and one
-cross-multiplication (``_clamp``), and the bids of a round against each other
-over their common denominator (``_top_bid``, the one routine that decides the
-top bid, for play and check alike).
+Bids are compared as exact ints, never by building a ``Fraction`` per bid,
+in one pass over a round's bids (``_settle``, the one routine that decides
+the bid range and the top bid, for play and check alike): a bid against its
+budget by the sign of its numerator and one cross-multiplication, and
+against the running top bid by one more.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .model import Allocation, GameState, Instance
-from .valuations import integer_keys
 
 MODES = ("standard", "altruistic", "multi_pick")
 TIE_POLICIES = ("lexicographic", "seeded", "adversarial", "scripted")
@@ -141,30 +140,42 @@ class Transcript:
 _ZERO = Fraction(0)
 
 
-def _clamp(bid: Fraction, budget: Fraction) -> Fraction:
-    """``bid`` clamped to ``[0, budget]``: the bid object itself when it lies
-    there, so ``_clamp(bid, budget) is bid`` tells whether it does.
+def _settle(
+    bids: Mapping[str, Fraction], budgets: Mapping[str, Fraction]
+) -> tuple[list[str], dict[str, Fraction]]:
+    """The agents that hold the top bid, in bid order, and the agents whose
+    bid lies outside ``[0, budget]``, in bid order, each mapped to her bid
+    clamped there (the budget object itself when over it); the top bid is
+    the top of the clamped bids.
 
-    >>> _clamp(Fraction(-1, 3), Fraction(1, 2)), _clamp(2, Fraction(1, 2)), _clamp(0, 1)
-    (Fraction(0, 1), Fraction(1, 2), 0)
+    Each bid's and budget's ``as_integer_ratio`` is read once: a bid is
+    clamped by its numerator's sign and one cross-multiplication with its
+    budget, and compared with the running top bid by one more.
+
+    >>> _settle({"a": Fraction(1, 3), "b": -1, "c": 2, "d": Fraction(2, 6)},
+    ...         dict.fromkeys("abcd", Fraction(1, 3)))
+    (['a', 'c', 'd'], {'b': Fraction(0, 1), 'c': Fraction(1, 3)})
     """
-    n, d = bid.as_integer_ratio()
-    if n < 0:
-        return _ZERO
-    p, q = budget.as_integer_ratio()
-    return budget if n * q > p * d else bid
-
-
-def _top_bid(bids: Mapping[str, Fraction]) -> tuple[Fraction, list[str]]:
-    """The top bid and the agents that hold it, in bid order.
-
-    >>> _top_bid({"a": Fraction(1, 3), "b": 0, "c": Fraction(2, 6)})
-    (Fraction(1, 3), ['a', 'c'])
-    """
-    keys, _ = integer_keys(bids.values())
-    top = max(keys)
-    pool = [agent for agent, key in zip(bids, keys) if key == top]
-    return bids[pool[0]], pool
+    pool: list[str] = []
+    clamped: dict[str, Fraction] = {}
+    top_n, top_d = -1, 1
+    for agent, bid in bids.items():
+        n, d = bid.as_integer_ratio()
+        if n < 0:
+            clamped[agent] = _ZERO
+            n, d = 0, 1
+        else:
+            budget = budgets[agent]
+            p, q = budget.as_integer_ratio()
+            if n * q > p * d:
+                clamped[agent] = budget
+                n, d = p, q
+        left, right = n * top_d, top_n * d
+        if left > right:
+            top_n, top_d, pool = n, d, [agent]
+        elif left == right:
+            pool.append(agent)
+    return pool, clamped
 
 
 class _TieBreaker:
@@ -210,7 +221,8 @@ class _Ledger:
         self.floors = {a.id: (1 - config.rho) * a.entitlement if capped else 0 for a in instance.agents}
         self.strict = capped and config.strict_threshold
         self.bundles: dict[str, frozenset[str]] = {i: frozenset() for i in self.budgets}
-        self.active = {i: True for i in self.budgets}
+        # the active agents, in id order: a leaving agent is deleted
+        self.active = dict.fromkeys(self.budgets)
         # the instance's items are sorted, and deleting keys keeps a dict's order
         self.remaining = dict.fromkeys(instance.items)
         self.round = 0
@@ -219,7 +231,7 @@ class _Ledger:
 
     @property
     def over(self) -> bool:
-        return not self.remaining or not any(self.active.values())
+        return not self.remaining or not self.active
 
     def apply(self, rnd: Round) -> None:
         """Check ``rnd`` as the next round of this game, then play it."""
@@ -234,16 +246,15 @@ class _Ledger:
                 raise broken("round number", None, f"numbered {rnd.number}")
             if self.over:
                 raise broken("game over", None, "no item or no active agent is left")
-            bidders = {i for i, on in self.active.items() if on}
-            if set(rnd.bids) != bidders:
-                odd = sorted(set(rnd.bids) ^ bidders)[0]
+            if rnd.bids.keys() != self.active.keys():
+                odd = sorted(rnd.bids.keys() ^ self.active.keys())[0]
                 raise broken("bidders", odd, "the bidders must be exactly the active agents")
-            for agent, bid in rnd.bids.items():
-                if _clamp(bid, self.budgets[agent]) is not bid:
-                    raise broken("bid range", agent, f"bid {bid} outside [0, {self.budgets[agent]}]")
-            top, pool = _top_bid(rnd.bids)
+            pool, clamped = _settle(rnd.bids, self.budgets)
+            if clamped:
+                agent = next(iter(clamped))
+                raise broken("bid range", agent, f"bid {rnd.bids[agent]} outside [0, {self.budgets[agent]}]")
             if winner not in pool:
-                raise broken("winner", winner, f"does not hold the top bid {top}")
+                raise broken("winner", winner, f"does not hold the top bid {rnd.bids[pool[0]]}")
             if self.breaker.choose(pool, number) != winner:
                 raise broken("tie-break", winner, f"the {self.config.tie.policy} policy picks another")
         picks = rnd.items
@@ -270,7 +281,7 @@ class _Ledger:
             del self.remaining[e]
         floor = self.floors[winner]
         if budget < floor if self.strict else budget <= floor:
-            self.active[winner] = False
+            del self.active[winner]
         self.round = number
 
     def snapshot(self) -> GameState:
@@ -279,7 +290,7 @@ class _Ledger:
             remaining=frozenset(self.remaining),
             budgets=dict(self.budgets),
             bundles=dict(self.bundles),
-            active=dict(self.active),
+            active={i: i in self.active for i in self.budgets},
         )
 
 
@@ -310,30 +321,28 @@ def run_game(
             bid_history=tuple(history),
         )
         bids: dict[str, Fraction] = {}
-        for agent_id in ids:
-            if not ledger.active[agent_id]:
-                continue
+        for agent_id in ledger.active:
             bid = strategies[agent_id].bid(state)
-            if type(bid) is not Fraction:
-                bid = Fraction(bid)
-            legal = _clamp(bid, ledger.budgets[agent_id])
-            if legal is not bid:
-                violations.append(
-                    f"round {round_number}: bid {bid} by {agent_id} clamped to {legal}"
-                )
+            bids[agent_id] = bid if type(bid) is Fraction else Fraction(bid)
+        pool, clamped = _settle(bids, ledger.budgets)
+        for agent_id, legal in clamped.items():
+            violations.append(
+                f"round {round_number}: bid {bids[agent_id]} by {agent_id} clamped to {legal}"
+            )
             bids[agent_id] = legal
-        winner = ledger.breaker.choose(_top_bid(bids)[1], round_number)
+        winner = ledger.breaker.choose(pool, round_number)
 
         picks = tuple(strategies[winner].pick(state))
-        if config.mode == "multi_pick" and bids[winner] > 0:
-            affordable = int(ledger.budgets[winner] / bids[winner])
+        bid = bids[winner]
+        if config.mode == "multi_pick" and bid > 0:
+            affordable = int(ledger.budgets[winner] / bid)
             if len(picks) > affordable:
                 violations.append(
                     f"round {round_number}: {winner} afforded only {affordable} picks"
                 )
                 picks = picks[:affordable]
 
-        rnd = Round(round_number, dict(bids), winner, picks, bids[winner] * len(picks))
+        rnd = Round(round_number, bids, winner, picks, bid if len(picks) == 1 else bid * len(picks))
         ledger.apply(rnd)
         history.append(dict(bids))
         rounds.append(rnd)

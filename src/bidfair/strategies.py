@@ -34,7 +34,8 @@ RhoLike = Fraction | int | None
 
 def default_rho(entitlement: Fraction) -> Fraction:
     """Guarantee-optimal aggressiveness for a budget-share entitlement: 1/(3-2b)."""
-    return 1 / (3 - 2 * Fraction(entitlement))
+    p, q = entitlement.as_integer_ratio()
+    return Fraction(q, 3 * q - 2 * p)
 
 
 def still_remaining(remaining: Sequence[str], item: str) -> bool:
@@ -219,8 +220,8 @@ class ProportionalBidder(Strategy):
         share: Fraction | int,
         rho: RhoLike = None,
     ) -> None:
-        self.entitlement = Fraction(entitlement)
-        self.share = Fraction(share)
+        self.entitlement = entitlement if type(entitlement) is Fraction else Fraction(entitlement)
+        self.share = share if type(share) is Fraction else Fraction(share)
         if self.share < 0:
             raise ValueError("share must be nonnegative")
         self.rho = default_rho(self.entitlement) if rho is None else Fraction(rho)
@@ -234,8 +235,11 @@ class ProportionalBidder(Strategy):
         self._large: frozenset[str] | None = (
             frozenset() if self.share == 0 or 2 * self.rho >= 1 else None
         )
-        if self.share > 0:
-            self._coefficient = Fraction(1, 2) / self.rho * self.entitlement / self.share
+        if self.share > 0:  # 1/(2 rho) * b / share, as one Fraction
+            r, s = self.rho.as_integer_ratio()
+            p, q = self.entitlement.as_integer_ratio()
+            n, d = self.share.as_integer_ratio()
+            self._coefficient = Fraction(s * p * d, 2 * r * q * n)
         # the last (gain, budget, bid): the bid is a function of the other two
         self._last: tuple[Fraction | None, Fraction | None, Fraction] = (None, None, Fraction(0))
 

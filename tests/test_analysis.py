@@ -16,7 +16,7 @@ from bidfair.analysis import (
 )
 from bidfair.engine import GameConfig, TieBreak, run_game, state_after
 from bidfair.model import FractionalPartition, make_instance, residual_instance
-from bidfair.negatives import gen_random_submodular
+from bidfair.negatives import gen_random_submodular, gen_xos_hard
 from bidfair.shares import aps_exact
 from bidfair.strategies import ProportionalBidder, RandomBidder, ScriptedBidder, ZeroBidder
 from bidfair.valuations import AdditiveValuation, TruncatedValuation
@@ -145,6 +145,26 @@ def test_diagnostics_reject_invalid_partition():
     overweight = FractionalPartition(((frozenset(["e1", "e2"]), Fraction(1)),))
     with pytest.raises(ValueError):
         lower_bound_diagnostics(tr, inst, "p", overweight)  # coverage 1 > 1/2
+
+
+@pytest.mark.parametrize(
+    "n, k, settle, taken, certified, removed",
+    [(16, 2, 32, 31, 2, 1), (36, 3, 108, 107, 3, 2)],
+)
+def test_xos_hard_diagnostics_are_pinned(n, k, settle, taken, certified, removed):
+    # the column partition as witness; values recorded when the ledger kept
+    # an {id: bool} activity map
+    run = gen_xos_hard(n, k)
+    _, tr = run.execute()
+    columns = run.instance.valuation("p").clauses
+    witness = FractionalPartition(tuple((frozenset(c), Fraction(1, len(columns))) for c in columns))
+    diag = lower_bound_diagnostics(tr, run.instance, "p", witness)
+    assert diag.settle_round == settle
+    assert diag.window_items == frozenset(run.instance.items)
+    assert diag.held == {"r01c001"}
+    assert len(diag.taken_by_others) == taken
+    assert (diag.certified_total, diag.surviving_total) == (certified, 0)
+    assert (diag.held_value, diag.removed_marginals) == (1, removed)
 
 
 def scan_settle_round(inst, tr, agent, start):

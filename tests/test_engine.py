@@ -18,6 +18,7 @@ from bidfair.engine import (
     TieBreak,
     Transcript,
     _Ledger,
+    _settle,
     check_transcript,
     run_game,
     state_after,
@@ -452,7 +453,7 @@ def run_game_reference(instance, strategies, config):
         )
         bids = {}
         for agent_id in ids:
-            if not ledger.active[agent_id]:
+            if agent_id not in ledger.active:
                 continue
             bid = Fraction(strategies[agent_id].bid(state))
             legal = min(max(bid, Fraction(0)), ledger.budgets[agent_id])
@@ -629,6 +630,100 @@ def test_hand_built_bids_are_checked_exactly(bids, winner, rule, detail):
     with pytest.raises(RuleViolation) as caught:
         ledger.apply(rnd)
     assert (caught.value.rule, caught.value.round, caught.value.detail) == (rule, 1, detail)
+
+
+@st.composite
+def wide_round(draw):
+    """Bids and budgets as the allocator's guesses make them: over distinct
+    150-300-bit denominators, with ties written differently (``k * x / k``,
+    an ``int``, a ``float``) and bids below 0 or over the budget.  The bids
+    come in a drawn order, not in id order."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    order = draw(st.permutations([f"a{i}" for i in range(n)]))
+    denominators = draw(st.lists(st.integers(2**149, 2**300), min_size=2 * n, max_size=2 * n, unique=True))
+
+    def wide(ceiling):
+        d = denominators.pop()
+        return Fraction(draw(st.integers(0, d)), d) * ceiling
+
+    budgets = {a: wide(1) or Fraction(1, 3) for a in order}
+    bids = {}
+    for agent in order:
+        budget = budgets[agent]
+        kind = draw(st.sampled_from(["wide", "tie", "int", "float", "negative", "over", "budget"]))
+        if kind == "wide":  # over the budget about half the time
+            bid = wide(2 * budget)
+        elif kind == "tie":  # an earlier bid or budget again, built by other arithmetic
+            x = Fraction(draw(st.sampled_from([*bids.values(), *budgets.values()])))
+            k = draw(st.integers(2, 10**6))
+            bid = x * k / k
+        elif kind == "int":
+            bid = draw(st.integers(-1, 1))
+        elif kind == "float":
+            bid = draw(st.sampled_from([0.0, 0.25, 0.5, float(budget)]))
+        elif kind == "negative":
+            bid = -wide(1) - Fraction(1, 2**200)
+        elif kind == "over":
+            bid = budget + Fraction(1, 2**300)
+        else:
+            bid = budget
+        bids[agent] = bid
+    return bids, budgets
+
+
+@settings(max_examples=400, deadline=None)
+@given(wide_round())
+def test_settle_matches_the_fraction_min_max(drawn):
+    bids, budgets = drawn
+    legal = {a: min(max(Fraction(b), Fraction(0)), budgets[a]) for a, b in bids.items()}
+    want_clamped = [(a, x) for a, x in legal.items() if x != Fraction(bids[a])]
+    top = max(legal.values())
+    want_pool = [a for a, x in legal.items() if x == top]
+
+    pool, clamped = _settle(bids, budgets)
+    assert pool == want_pool
+    assert list(clamped.items()) == want_clamped  # in bid order
+    assert all(x is budgets[a] for a, x in clamped.items() if bids[a] > 0)
+
+
+@pytest.mark.parametrize(
+    "bids, agent, detail",
+    [
+        ({"a0": 0, "a1": Fraction(1, 2), "a2": Fraction(-1, 7)}, "a1", "bid 1/2 outside [0, 1/3]"),
+        ({"a2": Fraction(-1, 7), "a0": 0, "a1": Fraction(1, 2)}, "a2", "bid -1/7 outside [0, 1/3]"),
+    ],
+)
+def test_the_first_bid_out_of_range_in_bid_order_is_named(bids, agent, detail):
+    v = AdditiveValuation({"e1": 1, "e2": 1, "e3": 1})
+    inst = make_instance(["e1", "e2", "e3"], [(f"a{i}", Fraction(1, 3), v) for i in range(3)])
+    _, tr = run_game(inst, {a: ZeroBidder() for a in inst.agent_ids}, GameConfig())
+    with pytest.raises(RuleViolation) as caught:
+        check_transcript(replace_round(tr, 0, bids=bids), inst)
+    assert (caught.value.rule, caught.value.round, caught.value.agent) == ("bid range", 1, agent)
+    assert caught.value.detail == detail
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_state_after_maps_every_agent_to_its_activity(strict):
+    # budgets 1/3 and rho = 1/2: a win at 1/6 spends exactly the cap, which a
+    # lenient cap ends and a strict one does not
+    items = [f"e{j}" for j in range(6)]
+    v = AdditiveValuation({e: 1 for e in items})
+    inst = make_instance(items, [(f"a{i}", Fraction(1, 3), v) for i in range(3)])
+    config = GameConfig(mode="altruistic", rho=Fraction(1, 2), strict_threshold=strict)
+    _, tr = run_game(inst, {a: ConstantBidder(Fraction(1, 6)) for a in inst.agent_ids}, config)
+    # the ledger as an {id: bool} map that a leaver's entry turns False in
+    old = dict.fromkeys(inst.agent_ids, True)
+    budgets, floor = dict.fromkeys(inst.agent_ids, Fraction(1, 3)), Fraction(1, 6)
+    for upto in range(len(tr.rounds) + 1):
+        assert state_after(inst, tr, upto).active == old, upto
+        if upto < len(tr.rounds):
+            winner = tr.rounds[upto].winner
+            budgets[winner] -= tr.rounds[upto].payment
+            if budgets[winner] < floor if strict else budgets[winner] <= floor:
+                old[winner] = False
+    assert len(tr.rounds) == (6 if strict else 3)
+    assert not any(old.values())
 
 
 def _equal_budget_game(strategy, **tie):
