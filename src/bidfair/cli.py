@@ -423,6 +423,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rebuilt = rebuild(doc, instance, transcript, recorded)
         for entry, want in zip(recorded, rebuilt):
             _compare(entry, want, f" for {want['agent']}")
+            extra = sorted(entry.keys() - want.keys())
+            if extra:
+                raise _Rejected(f"recorded {extra[0]} for {want['agent']} is not in the rebuilt entry")
         if len(recorded) != len(rebuilt):
             raise _Rejected(f"recorded guarantees cover {len(recorded)} agents, not {len(rebuilt)}")
         unmet = _unmet(rebuilt)

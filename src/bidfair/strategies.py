@@ -139,16 +139,6 @@ class _MarginalRanking:
         item, gain = self.best(held, remaining)
         return [remaining[0] if gain == 0 else item]
 
-    def above(self, bound: Fraction) -> frozenset[str]:
-        """The ranked items whose value with the held bundle, truncated at
-        the ceiling, exceeds ``bound``."""
-        if self._ceiling is not None and self._ceiling <= bound:
-            return frozenset()
-        ranked = self._ranked
-        n, d = bound.as_integer_ratio()
-        # key * d > n * common exactly when key > floor(n * common / d)
-        return frozenset(ranked.items[: _at_least(ranked.keys, n * ranked.common // d + 1)])
-
     def _move(self, i: int) -> None:
         self._cursor = i
         ranked = self._ranked
@@ -195,9 +185,9 @@ class ProportionalBidder(Strategy):
     int keys at the share, so the agent's own oracle answers every query.
     While some unallocated item is *large* (truncated value above
     2*rho*share) the agent bids her entire remaining budget and, on a win,
-    grabs the most valuable item, exhausting her budget.  The large items
-    are read off the first ranking, over the empty bundle, which holds every
-    singleton value.  Once no large item remains she bids
+    grabs the most valuable item, exhausting her budget.  The ranking over
+    the empty bundle tells the phase: its best remaining item is the one of
+    largest singleton value.  Once no large item remains she bids
 
         (1 / 2 rho) * (b / share) * (highest remaining marginal value),
 
@@ -230,11 +220,9 @@ class ProportionalBidder(Strategy):
         self.valuation = valuation
         self.budget_capped_early = False
         self._ranking = _MarginalRanking(valuation, self.share if self.share > 0 else None)
-        # the items worth more than 2*rho*share, found at the first bid; none
-        # when the share is 0 or 2*rho >= 1 (a truncated value is at most the share)
-        self._large: frozenset[str] | None = (
-            frozenset() if self.share == 0 or 2 * self.rho >= 1 else None
-        )
+        # 2*rho*share while a large item may remain; None once none can, as when
+        # the share is 0 or 2*rho >= 1 (a truncated value is at most the share)
+        self._large_bound = 2 * self.rho * self.share if self.share > 0 and 2 * self.rho < 1 else None
         if self.share > 0:  # 1/(2 rho) * b / share, as one Fraction
             r, s = self.rho.as_integer_ratio()
             p, q = self.entitlement.as_integer_ratio()
@@ -244,11 +232,13 @@ class ProportionalBidder(Strategy):
         self._last: tuple[Fraction | None, Fraction | None, Fraction] = (None, None, Fraction(0))
 
     def _in_large_phase(self, remaining: Sequence[str]) -> bool:
-        if self._large is None:
-            self._ranking.best(frozenset(), remaining)
-            self._large = self._ranking.above(2 * self.rho * self.share)
-        # isdisjoint walks all of remaining, so it is skipped when no item is large
-        return bool(self._large) and not self._large.isdisjoint(remaining)
+        if self._large_bound is not None:
+            # v(empty) + gain is the truncated value of the best remaining single item
+            _, gain = self._ranking.best(frozenset(), remaining)
+            if self._ranking.base + gain > self._large_bound:
+                return True
+            self._large_bound = None  # items only leave the game: the phase is over
+        return False
 
     def bid(self, state: PublicState) -> Fraction:
         if self.share == 0:

@@ -442,6 +442,13 @@ def _mms_at_ten_27ths(doc):
         entry["rho"] = "10/27"
 
 
+def _unchecked_failures(doc):
+    # without a share the re-run does no exact check, so it writes no flag
+    for entry in doc["guarantees"]:
+        del entry["share"]
+        entry["passed"] = False
+
+
 def _set(field, value):
     return lambda doc: doc.update({field: value})
 
@@ -457,8 +464,9 @@ def _set(field, value):
         (_set("conditional_calls", 4), "recorded conditional calls is wrong"),
         (lambda doc: doc["guarantees"].pop(), "recorded guarantees cover 2 agents, not 3"),
         (lambda doc: doc["guarantees"].pop(0), "recorded agent for a0 is wrong"),
+        (_unchecked_failures, "recorded passed for a0 is not in the rebuilt entry"),
     ],
-    ids=["mms", "guess", "calls-7", "calls0", "calls-1", "calls+1", "drop-last", "drop-first"],
+    ids=["mms", "guess", "calls-7", "calls0", "calls-1", "calls+1", "drop-last", "drop-first", "no-share"],
 )
 def test_cli_verify_reruns_alloc(tmp_path, capsys, tamper, message):
     out, doc = _alloc_report(tmp_path)
