@@ -5,12 +5,13 @@ item count (default 12, settable only through the BIDFAIR_SIZE_GUARD
 environment variable).  They are oracles for verifying game guarantees at
 desk scale, not production approximation algorithms.
 
-Both start from the values of all 2^m bundles.  Bundle ``mask`` is built from
-its lowest-bit predecessor, bundle ``mask ^ low`` with ``low`` the lowest set
-bit of mask, plus one item, and the oracle is queried in mask order.  The
-values are ranked on integer keys over the table's common denominator
-(``valuations.integer_keys``), so no Fraction is hashed; the share is returned
-as a Fraction.
+Both start from the values of all 2^m bundles, which the oracle's table query
+``mask_keys`` gives as integer keys over one common denominator.  On the base
+path each bundle ``mask`` is built from its lowest-bit predecessor, bundle
+``mask ^ low`` with ``low`` the lowest set bit of mask, plus one item, and the
+oracle is queried in mask order; a coverage oracle computes the keys by mask
+instead.  The values are ranked on those keys, so no Fraction is hashed; the
+share is returned as a Fraction.
 
 The anyprice share of an agent with entitlement b is the least, over item
 prices p >= 0 summing to 1, of the best value a budget b can buy (Babaioff,
@@ -69,7 +70,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .model import FractionalPartition
 from .simplex import solve_lp
-from .valuations import ValuationOracle, guarded_items, integer_keys
+from .valuations import ValuationOracle, _bundles, guarded_items, integer_keys
 
 
 @dataclass(frozen=True)
@@ -85,28 +86,16 @@ def _mask_to_bundle(mask: int, items: Sequence[str]) -> frozenset[str]:
     return frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
 
 
-def _bundles(items: Sequence[str]) -> list[frozenset[str]]:
-    """All 2^m subsets, indexed by bitmask over the items.
-
-    Bundle ``mask`` is bundle ``mask ^ low`` plus one item, where ``low`` is
-    the lowest set bit of mask, so each bundle costs one union, not O(m).
-    """
-    singles = [frozenset((e,)) for e in items]
-    bundles = [frozenset()]
-    for mask in range(1, 1 << len(items)):
-        low = mask & -mask
-        bundles.append(bundles[mask ^ low] | singles[low.bit_length() - 1])
-    return bundles
-
-
-def value_table(v: ValuationOracle, items: Sequence[str]) -> list[Fraction]:
-    """Values of all 2^m subsets, indexed by bitmask over the sorted items."""
-    return [v.value(bundle) for bundle in _bundles(items)]
+def value_table(v: ValuationOracle, items: Sequence[str]) -> tuple[list[int], int]:
+    """Values of all 2^m subsets, indexed by bitmask over the sorted items, as
+    integer keys and their common denominator (``v.mask_keys``).  Only the
+    base path queries the oracle in mask order."""
+    return v.mask_keys(items)
 
 
 def _ranked_table(v: ValuationOracle, items: Sequence[str]) -> tuple[list[Fraction], list[int]]:
     """The sorted distinct bundle values, and each mask's index into them."""
-    keys, common = integer_keys(value_table(v, items))
+    keys, common = value_table(v, items)
     distinct = sorted(set(keys))
     rank = {key: r for r, key in enumerate(distinct)}
     return [Fraction(key, common) for key in distinct], [rank[key] for key in keys]

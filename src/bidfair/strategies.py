@@ -100,30 +100,32 @@ class _MarginalRanking:
     truncated oracle queried.  Clamping keeps the order, so the items whose
     value reaches the ceiling form a prefix of the shared order; they tie at
     the ceiling, and re-sorting that prefix by item gives the truncated
-    order, ties included.  A gain stays an int until ``best`` returns it, as
-    one ``Fraction`` per cursor position.
+    order, ties included.  The gain at the cursor is kept as an int pair,
+    ``gain_ratio``, a new tuple only when the cursor moves or the bundle
+    changes; ``best`` builds its ``Fraction`` at most once per position.
     """
 
     def __init__(self, valuation: ValuationOracle, ceiling: Fraction | None = None) -> None:
         self.valuation = valuation
         self._ceiling = ceiling
+        self._ceiling_ratio = None if ceiling is None else ceiling.as_integer_ratio()
         self._table: dict[frozenset[str], _Ranked] | None = None  # the universe's rankings
         self._universe: tuple[str, ...] = ()
         self._held: frozenset[str] | None = None
         self.base = Fraction(0)  # v(held), truncated at the ceiling
+        self.base_ratio = (0, 1)  # the same as a (numerator, positive denominator) pair
         self._ranked = _UNRANKED
         self._items: Sequence[str] = ()  # the ranked items, in truncated order
         self._capped = 0  # how many of them reach the ceiling
-        self._base_key: int | None = 0  # v(held) * common, None when it reaches the ceiling
         self._cursor = 0
-        self._gain = Fraction(0)  # the gain at the cursor
+        self.gain_ratio = (0, 1)  # the gain at the cursor, as such a pair
+        self._gain: Fraction | None = Fraction(0)  # the same, once ``best`` has built it
 
-    def best(self, held: frozenset[str], remaining: Sequence[str]) -> tuple[str | None, Fraction]:
+    def advance(self, held: frozenset[str], remaining: Sequence[str]) -> str | None:
         """Item of maximal marginal value over ``held``, earliest in
-        ascending order on ties, with its gain; ``(None, 0)`` when no item
-        remains.  ``remaining`` must be in ascending order, as the engine
-        gives it, and within the first call's.  The gain is the same object
-        until the cursor moves or the bundle changes."""
+        ascending order on ties, or None when no item remains; its gain is
+        ``gain_ratio`` after the call.  ``remaining`` must be in ascending
+        order, as the engine gives it, and within the first call's."""
         if held is not self._held and held != self._held:
             self._rank(held, remaining)
         items, i = self._items, self._cursor
@@ -131,25 +133,34 @@ class _MarginalRanking:
             i += 1
         if i != self._cursor:
             self._move(i)
-        return (items[i] if i < len(items) else None), self._gain
+        return items[i] if i < len(items) else None
+
+    def best(self, held: frozenset[str], remaining: Sequence[str]) -> tuple[str | None, Fraction]:
+        """``advance``'s item with its gain; ``(None, 0)`` when no item
+        remains.  The gain is the same object until the cursor moves or the
+        bundle changes."""
+        item = self.advance(held, remaining)
+        if self._gain is None:
+            self._gain = Fraction(*self.gain_ratio)
+        return item, self._gain
 
     def pick(self, held: frozenset[str], remaining: Sequence[str]) -> list[str]:
         """The best item over ``held``, or the first remaining item when the
         best one adds nothing: the pick of every marginal-value strategy."""
-        item, gain = self.best(held, remaining)
-        return [remaining[0] if gain == 0 else item]
+        item = self.advance(held, remaining)
+        return [remaining[0] if self.gain_ratio[0] == 0 else item]
 
     def _move(self, i: int) -> None:
         self._cursor = i
+        self._gain = None
         ranked = self._ranked
-        if i < self._capped:
-            self._gain = self._ceiling - self.base
-        elif i >= len(ranked.keys):
-            self._gain = Fraction(0)
-        elif self._base_key is None:
-            self._gain = Fraction(ranked.keys[i], ranked.common) - self.base
+        if i < len(ranked.keys):
+            # the truncated value of held + the item, less the base
+            n, d = self._ceiling_ratio if i < self._capped else (ranked.keys[i], ranked.common)
+            p, q = self.base_ratio
+            self.gain_ratio = (n - p, d) if d == q else (n * q - p * d, d * q)
         else:
-            self._gain = Fraction(ranked.keys[i] - self._base_key, ranked.common)
+            self.gain_ratio = (0, 1)
 
     def _rank(self, held: frozenset[str], remaining: Sequence[str]) -> None:
         if self._table is None:
@@ -159,22 +170,21 @@ class _MarginalRanking:
         if ranked is None:
             ranked = self._table[held] = _ranked(self.valuation, self._universe, held)
         items, capped = ranked.items, 0
-        base, base_key = ranked.base, ranked.base_key
-        ceiling = self._ceiling
-        if ceiling is not None:
-            n, d = ceiling.as_integer_ratio()
+        base, base_ratio = ranked.base, (ranked.base_key, ranked.common)
+        if self._ceiling is not None:
+            n, d = self._ceiling_ratio
             cap = -(-n * ranked.common // d)  # the least key at or above the ceiling
             capped = _at_least(ranked.keys, cap)
             if capped > 1:
                 items = tuple(sorted(items[:capped])) + items[capped:]
-            if base_key >= cap:
-                base, base_key = ceiling, None
+            if ranked.base_key >= cap:
+                base, base_ratio = self._ceiling, self._ceiling_ratio
         self._held = held
         self._ranked = ranked
         self.base = base
+        self.base_ratio = base_ratio
         self._items = items
         self._capped = capped
-        self._base_key = base_key
         self._move(0)
 
 
@@ -196,7 +206,10 @@ class ProportionalBidder(Strategy):
     instance (budgets scaled by 1/gamma into entitlements, bids scaled back
     by gamma) leaves these bid amounts unchanged - the two scalings cancel -
     so the strategy applies the same formula throughout.  The bid depends
-    only on the gain and the budget, so it is reused while both stand.
+    only on the gain and the budget, so it is reused while both stand.  The
+    gain, the coefficient and the bounds stay int pairs: the bid is capped by
+    one cross-multiplication with the budget, and a ``Fraction`` is built
+    only for an uncapped bid.
 
     ``budget_capped_early`` records whether the budget cap ever bound a
     formula bid while the agent's held value was still below rho*share; the
@@ -219,49 +232,58 @@ class ProportionalBidder(Strategy):
             raise ValueError("rho must be positive")
         self.valuation = valuation
         self.budget_capped_early = False
-        self._ranking = _MarginalRanking(valuation, self.share if self.share > 0 else None)
+        self._zero_share = self.share == 0
+        self._ranking = _MarginalRanking(valuation, None if self._zero_share else self.share)
+        r, s = self.rho.as_integer_ratio()
+        n, d = self.share.as_integer_ratio()
         # 2*rho*share while a large item may remain; None once none can, as when
         # the share is 0 or 2*rho >= 1 (a truncated value is at most the share)
-        self._large_bound = 2 * self.rho * self.share if self.share > 0 and 2 * self.rho < 1 else None
-        if self.share > 0:  # 1/(2 rho) * b / share, as one Fraction
-            r, s = self.rho.as_integer_ratio()
+        self._large_bound = (2 * r * n, s * d) if n > 0 and 2 * r < s else None
+        if n > 0:  # 1/(2 rho) * b / share
             p, q = self.entitlement.as_integer_ratio()
-            n, d = self.share.as_integer_ratio()
-            self._coefficient = Fraction(s * p * d, 2 * r * q * n)
+            self._coefficient = (s * p * d, 2 * r * q * n)
         # the last (gain, budget, bid): the bid is a function of the other two
-        self._last: tuple[Fraction | None, Fraction | None, Fraction] = (None, None, Fraction(0))
+        self._last: tuple[tuple[int, int] | None, Fraction | None, Fraction] = (None, None, Fraction(0))
 
     def _in_large_phase(self, remaining: Sequence[str]) -> bool:
         if self._large_bound is not None:
-            # v(empty) + gain is the truncated value of the best remaining single item
-            _, gain = self._ranking.best(frozenset(), remaining)
-            if self._ranking.base + gain > self._large_bound:
+            # base + gain is the truncated value of the best remaining single item
+            ranking = self._ranking
+            ranking.advance(frozenset(), remaining)
+            (p, q), (g, h), (n, d) = ranking.base_ratio, ranking.gain_ratio, self._large_bound
+            if (p * h + g * q) * d > n * q * h:
                 return True
             self._large_bound = None  # items only leave the game: the phase is over
         return False
 
     def bid(self, state: PublicState) -> Fraction:
-        if self.share == 0:
+        if self._zero_share:
             return Fraction(0)
         budget = state.budgets[self.agent_id]
         if self._in_large_phase(state.remaining):
             return budget
-        _, gain = self._ranking.best(state.bundles[self.agent_id], state.remaining)
+        ranking = self._ranking
+        ranking.advance(state.bundles[self.agent_id], state.remaining)
+        gain = ranking.gain_ratio
         last_gain, last_budget, last_bid = self._last
         if gain is last_gain and budget is last_budget:
             return last_bid
-        bid = self._coefficient * gain
-        if bid > budget:
-            if self._ranking.base < self.rho * self.share:
+        g, h = gain
+        c, e = self._coefficient
+        p, q = budget.as_integer_ratio()
+        if c * g * q > p * e * h:  # the formula bid is above the budget
+            if ranking.base < self.rho * self.share:
                 self.budget_capped_early = True
             bid = budget
+        else:
+            bid = Fraction(c * g, e * h)
         self._last = (gain, budget, bid)
         return bid
 
     def pick(self, state: PublicState) -> Sequence[str]:
         if self._in_large_phase(state.remaining):
             # the most valuable single item: the ranking over the empty bundle
-            item, _ = self._ranking.best(frozenset(), state.remaining)
+            item = self._ranking.advance(frozenset(), state.remaining)
             return [item]
         return self._ranking.pick(state.bundles[self.agent_id], state.remaining)
 
@@ -297,8 +319,7 @@ class UnitDemandFullBudgetBidder(Strategy):
         return state.budgets[self.agent_id]
 
     def pick(self, state: PublicState) -> Sequence[str]:
-        item, _ = self._ranking.best(frozenset(), state.remaining)
-        return [item]
+        return [self._ranking.advance(frozenset(), state.remaining)]
 
 
 class ScriptedBidder(Strategy):

@@ -1,15 +1,18 @@
 """Set-function valuation oracles.
 
-Strategies and share computations interact with valuations only through
-value queries (``value(bundle) -> Fraction``).  The structured classes below
-exist so that instances can be described compactly and serialized, but code
-that simulates agents must treat them as opaque oracles.
+Strategies interact with valuations only through value queries
+(``value(bundle) -> Fraction``).  Share computations interact through value
+queries or one table query (``mask_keys(items)``, the values of all 2^m
+bundles as ints over one denominator).  The structured classes below exist so
+that instances can be described compactly and serialized, but code that
+simulates agents must treat them as opaque oracles.
 
 All values are exact rationals.  Every oracle counts the value queries it
 has answered (``query_count``, cache hits included) and, of those, the ones
 its cache could not answer (``miss_count``, each one evaluation of the set
-function); the counters are not thread safe and are meant for single-run
-accounting.
+function).  A table query counts one query per bundle, and one evaluation
+per bundle too where it computes the table directly, as weighted coverage does.
+The counters are not thread safe and are meant for single-run accounting.
 """
 
 from __future__ import annotations
@@ -70,6 +73,20 @@ def _as_bundle(items: Iterable[str]) -> Bundle:
     return items if isinstance(items, frozenset) else frozenset(items)
 
 
+def _bundles(items: Sequence[str]) -> list[Bundle]:
+    """All 2^m subsets, indexed by bitmask over the items.
+
+    Bundle ``mask`` is bundle ``mask ^ low`` plus one item, where ``low`` is
+    the lowest set bit of mask, so each bundle costs one union, not O(m).
+    """
+    singles = [frozenset((e,)) for e in items]
+    bundles = [frozenset()]
+    for mask in range(1, 1 << len(items)):
+        low = mask & -mask
+        bundles.append(bundles[mask ^ low] | singles[low.bit_length() - 1])
+    return bundles
+
+
 class ValuationOracle:
     """Base class: a normalized, monotone set function answering value queries."""
 
@@ -92,6 +109,17 @@ class ValuationOracle:
 
     def _value(self, bundle: Bundle) -> Fraction:
         raise NotImplementedError
+
+    def mask_keys(self, items: Sequence[str]) -> tuple[list[int], int]:
+        """The values of all 2^m bundles of ``items`` as ``integer_keys``:
+        entry ``mask`` is the bundle holding ``items[j]`` for each set bit j.
+
+        Here every bundle is a value query, asked in mask order, each built
+        from its lowest-bit predecessor (``_bundles``).  A subclass may compute
+        the table directly; it then counts one query and one evaluation per
+        bundle and leaves the cache alone.
+        """
+        return integer_keys([self.value(bundle) for bundle in _bundles(items)])
 
 
 class AdditiveValuation(ValuationOracle):
@@ -176,11 +204,15 @@ class WeightedCoverageValuation(ValuationOracle):
 
     The weights are scaled once, at the first evaluation, to integers over
     their common denominator, so a query sums ints and builds a single
-    Fraction.
+    Fraction.  The table query works by mask in ints: each item's cover is a
+    bitmask over the elements, and each bundle adds the scaled weights of the
+    elements its last item newly covers.
 
     >>> v = WeightedCoverageValuation({"u": Fraction(1, 3), "w": Fraction(2, 5)}, {"a": ["u", "w"]})
     >>> v.value({"a"})
     Fraction(11, 15)
+    >>> v.mask_keys(["a", "b"])
+    ([0, 11, 0, 11], 15)
     """
 
     def __init__(
@@ -207,6 +239,29 @@ class WeightedCoverageValuation(ValuationOracle):
         for e in bundle:
             covered.update(self.covers.get(e, ()))
         return Fraction(sum(scaled[u] for u in covered), common)
+
+    def mask_keys(self, items: Sequence[str]) -> tuple[list[int], int]:
+        scaled, common = self._scaled
+        weights = list(scaled.values())
+        bit = {u: 1 << i for i, u in enumerate(scaled)}
+        covers = [sum(bit[u] for u in self.covers.get(e, ())) for e in items]
+        size = 1 << len(items)
+        covered = [0] * size
+        keys = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            before = covered[mask ^ low]
+            covered[mask] = after = before | covers[low.bit_length() - 1]
+            key = keys[mask ^ low]
+            new = after ^ before
+            while new:
+                first = new & -new
+                key += weights[first.bit_length() - 1]
+                new ^= first
+            keys[mask] = key
+        self.query_count += size
+        self.miss_count += size
+        return keys, common
 
 
 class TableValuation(ValuationOracle):

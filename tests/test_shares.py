@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import corpus_helpers as ch
+from test_valuations import DelegatingOracle
 from bidfair import shares
 from bidfair.model import FractionalPartition
 from bidfair.shares import (
@@ -34,6 +35,7 @@ from bidfair.valuations import (
     UnitDemandValuation,
     WeightedCoverageValuation,
     default_size_guard,
+    integer_keys,
     is_monotone_normalized,
     is_submodular,
 )
@@ -226,7 +228,8 @@ def aps_equality_row(v, entitlement, items):
     """APS through the earlier formulation: total weight exactly 1 over every bundle of value >= z."""
     items = sorted(items)
     m = len(items)
-    table = value_table(v, items)
+    keys, common = value_table(v, items)
+    table = [Fraction(key, common) for key in keys]
     candidates = sorted(set(table))
 
     def feasible(z):
@@ -305,7 +308,8 @@ def mms_reference(v, n, items):
     """MMS by the plain exhaustive search over Fraction values, no bound."""
     items = sorted(items)
     m = len(items)
-    table = value_table(v, items)
+    keys, common = value_table(v, items)
+    table = [Fraction(key, common) for key in keys]
     best_blocks = ((1 << m) - 1,) + (0,) * (n - 1)
     best_value = min(table[b] for b in best_blocks)
     blocks = [0] * n
@@ -456,7 +460,7 @@ def test_value_table_matches_the_per_mask_construction(instance):
     v, items = instance
     reference = RecordingTable(items, v.table)
     expected = [reference.value(mask_bundle(mask, items)) for mask in range(1 << len(items))]
-    assert value_table(v, items) == expected
+    assert value_table(v, items) == integer_keys(expected)
     assert v.evaluated == reference.evaluated
     assert v.query_count == reference.query_count == 1 << len(items)
 
@@ -597,6 +601,17 @@ def test_corpus_aps_prices_bound_the_share_from_above():
             assert all(p >= 0 for p in res.prices.values())
             assert sum(res.prices.values()) == 1
             assert best_affordable(spec.valuation, inst.items, res.prices, spec.entitlement) == res.value
+
+
+def test_corpus_shares_from_the_coverage_table_match_the_query_table():
+    # each corpus agent's coverage oracle computes its table by mask; the same
+    # set function behind the base class queries it bundle by bundle
+    for idx in range(60):
+        inst = ch.instance(idx)
+        for spec in inst.agents:
+            plain = DelegatingOracle(spec.valuation)
+            assert aps_exact(plain, spec.entitlement, inst.items) == ch.aps_of(idx, spec.id)
+            assert mms_exact(plain, len(inst.agents), inst.items) == ch.mms_of(idx, spec.id)
 
 
 def test_mms_right_after_aps_on_one_oracle_queries_nothing():

@@ -686,6 +686,17 @@ def _large_phase_edge(empty):
     return ["a", "b"], [proportional, ("a1", AdditiveValuation({}), "constant", 0, None, 0)], GameConfig()
 
 
+def _cap_edge(pair):
+    """a0 bids at b = 1/2, share 8 and rho 1/4 on a table where a and b are
+    worth 1 each and ab is worth ``pair``: a0 wins a at 1/8, and at budget 3/8
+    bids (1/8) * (pair - 1) for b, holding 1, below rho * share = 2."""
+    table = {frozenset(): 0, frozenset("a"): 1, frozenset("b"): 1, frozenset("ab"): pair}
+    proportional = ("a0", TableValuation(["a", "b"], table), "proportional", 8, Fraction(1, 4), 0)
+    return ["a", "b"], [proportional, ("a1", AdditiveValuation({}), "constant", 0, None, 0)], GameConfig()
+
+
+@example(game=_cap_edge(4))  # the formula bid is the budget exactly: the cap does not bind
+@example(game=_cap_edge(5))  # the formula bid 1/2 is above the budget: the cap binds early
 @example(game=_large_phase_edge(1))  # a is worth exactly 2, not large: a0 bids 1/4
 @example(game=_large_phase_edge(2))  # a is worth 3 although it adds 1: a0 bids 1/2
 # at a spend cap of the whole budget a0 wins large a, stays active at budget 0

@@ -12,6 +12,7 @@ from bidfair.valuations import (
     TableValuation,
     TruncatedValuation,
     UnitDemandValuation,
+    ValuationOracle,
     WeightedCoverageValuation,
     XOSValuation,
     is_monotone_normalized,
@@ -205,3 +206,44 @@ def test_coverage_value_is_the_fraction_sum_of_covered_weights(weights, data):
 def test_coverage_over_no_elements_is_zero():
     v = WeightedCoverageValuation({}, {"a": []})
     assert v.value({"a"}) == 0 == v.value(set())
+
+
+class DelegatingOracle(ValuationOracle):
+    """Another oracle's set function behind the base class: the table query
+    goes through ``value``, one bundle at a time."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+
+    def _value(self, bundle):
+        return self.inner._value(bundle)
+
+
+@st.composite
+def coverage_tables(draw):
+    """Coverage oracles over m <= 8 items, listed in a drawn order: weights of
+    any sign, zero included, empty covers, items absent from ``covers`` and
+    elements that several items share."""
+    elements = [f"u{t}" for t in range(draw(st.integers(0, 6)))]
+    weights = {u: draw(_WEIGHTS | st.fractions(-3, 0, max_denominator=6)) for u in elements}
+    items = draw(st.permutations([f"e{j}" for j in range(draw(st.integers(0, 8)))]))
+    listed = draw(st.sets(st.sampled_from(items))) if items else set()
+    cover = st.sets(st.sampled_from(elements)) if elements else st.just(set())
+    covers = {e: draw(cover) for e in sorted(listed | {"z"})}  # z is in no table
+    return WeightedCoverageValuation(weights, covers), items
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=coverage_tables(), asked=st.lists(st.sets(st.sampled_from(["e0", "e1", "z"])), max_size=3))
+def test_coverage_table_equals_the_query_table(case, asked):
+    v, items = case
+    for bundle in asked:
+        v.value(bundle)
+    cache, queries, misses = dict(v._cache), v.query_count, v.miss_count
+    keys, common = v.mask_keys(items)
+    reference, reference_common = DelegatingOracle(v).mask_keys(items)
+    assert [Fraction(key, common) for key in keys] == [Fraction(key, reference_common) for key in reference]
+    size = 1 << len(items)
+    assert (v.query_count, v.miss_count) == (queries + size, misses + size)
+    assert v._cache == cache
