@@ -159,6 +159,18 @@ def _unmet(entries: list[dict]) -> list[str]:
 
 # ---------------------------------------------------------------- play
 
+# each strategy's parameters: any other key is an input error
+_STRATEGY_PARAMS = {
+    "proportional": ("share", "rho"),
+    "altruistic": ("share",),
+    "unit_demand": (),
+    "greedy": (),
+    "random": ("seed",),
+    "constant": ("amount",),
+    "zero": (),
+}
+
+
 def _parse_strategy_spec(
     spec_text: str,
     instance: Instance,
@@ -173,6 +185,11 @@ def _parse_strategy_spec(
             if not value:
                 raise InputError(f"bad strategy parameter {piece!r}")
             params[key] = value
+    if name not in _STRATEGY_PARAMS:
+        raise InputError(f"unknown strategy {name!r}")
+    for key in params:
+        if key not in _STRATEGY_PARAMS[name]:
+            raise InputError(f"unknown parameter {key!r} for strategy {name!r}")
     spec = instance.agent(agent_id)
 
     def share_value(text: str) -> Fraction:
@@ -195,9 +212,7 @@ def _parse_strategy_spec(
         return RandomBidder(_parse_int(params.get("seed", "0"), "random seed"))
     if name == "constant":
         return ConstantBidder(serialize.parse_rational(params.get("amount", "0")))
-    if name == "zero":
-        return ZeroBidder()
-    raise InputError(f"unknown strategy {name!r}")
+    return ZeroBidder()  # "zero", the one name left
 
 
 def _game_config_from_args(args: argparse.Namespace) -> GameConfig:

@@ -13,8 +13,9 @@ items and the bundle, so it is computed once per distinct held bundle and
 oracle and shared by every bidder and game on that oracle: the allocator's
 games, which differ in one agent's guess, rank each bundle once in all.  The
 ranking is exact for every valuation, and it truncates at a ceiling in ints,
-so a bidder that truncates its valuation queries and shares its own oracle,
-whose cache outlives the game.
+so a bidder that truncates its valuation queries its own oracle, whose cache
+outlives the game.  Gains are int pairs; a bid is capped at the budget by one
+rule, ``_capped``.
 """
 
 from __future__ import annotations
@@ -49,12 +50,11 @@ class _Ranked(NamedTuple):
 
     items: tuple[str, ...]  # the universe less the bundle, larger value first, ascending on ties
     keys: tuple[int, ...]  # v(held + item) * common, in that order
-    base: Fraction  # v(held)
     base_key: int  # v(held) * common
     common: int
 
 
-_UNRANKED = _Ranked((), (), Fraction(0), 0, 1)
+_UNRANKED = _Ranked((), (), 0, 1)
 
 # oracle -> universe -> held bundle -> its ranking.  Weak in the oracle, so its
 # rankings go with it; each entry holds no more than the m + 1 cached values
@@ -70,14 +70,17 @@ def _at_least(keys: Sequence[int], key: int) -> int:
 def _ranked(valuation: ValuationOracle, universe: Sequence[str], held: frozenset[str]) -> _Ranked:
     items = [e for e in universe if e not in held]
     values = [valuation.value(held | {e}) for e in items]
-    base = valuation.value(held)
-    values.append(base)
+    values.append(valuation.value(held))
     keys, common = integer_keys(values)
     base_key = keys.pop()
     order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
-    return _Ranked(
-        tuple(items[j] for j in order), tuple(keys[j] for j in order), base, base_key, common
-    )
+    return _Ranked(tuple(items[j] for j in order), tuple(keys[j] for j in order), base_key, common)
+
+
+def _capped(n: int, d: int, budget: Fraction) -> Fraction:
+    """The bid n/d (d > 0), or ``budget`` itself when n/d is above it."""
+    p, q = budget.as_integer_ratio()
+    return budget if n * q > p * d else Fraction(n, d)
 
 
 class _MarginalRanking:
@@ -100,32 +103,29 @@ class _MarginalRanking:
     truncated oracle queried.  Clamping keeps the order, so the items whose
     value reaches the ceiling form a prefix of the shared order; they tie at
     the ceiling, and re-sorting that prefix by item gives the truncated
-    order, ties included.  The gain at the cursor is kept as an int pair,
-    ``gain_ratio``, a new tuple only when the cursor moves or the bundle
-    changes; ``best`` builds its ``Fraction`` at most once per position.
+    order, ties included.  ``base`` and ``gain`` are (numerator, positive
+    denominator) pairs; ``gain`` is a new tuple only when the cursor moves or
+    the bundle changes.
     """
 
     def __init__(self, valuation: ValuationOracle, ceiling: Fraction | None = None) -> None:
         self.valuation = valuation
-        self._ceiling = ceiling
-        self._ceiling_ratio = None if ceiling is None else ceiling.as_integer_ratio()
+        self._ceiling = None if ceiling is None else ceiling.as_integer_ratio()
         self._table: dict[frozenset[str], _Ranked] | None = None  # the universe's rankings
         self._universe: tuple[str, ...] = ()
         self._held: frozenset[str] | None = None
-        self.base = Fraction(0)  # v(held), truncated at the ceiling
-        self.base_ratio = (0, 1)  # the same as a (numerator, positive denominator) pair
+        self.base = (0, 1)  # v(held), truncated at the ceiling
         self._ranked = _UNRANKED
         self._items: Sequence[str] = ()  # the ranked items, in truncated order
-        self._capped = 0  # how many of them reach the ceiling
+        self._reaching = 0  # how many of them reach the ceiling
         self._cursor = 0
-        self.gain_ratio = (0, 1)  # the gain at the cursor, as such a pair
-        self._gain: Fraction | None = Fraction(0)  # the same, once ``best`` has built it
+        self.gain = (0, 1)  # the gain at the cursor: 0 when no item remains
 
     def advance(self, held: frozenset[str], remaining: Sequence[str]) -> str | None:
         """Item of maximal marginal value over ``held``, earliest in
         ascending order on ties, or None when no item remains; its gain is
-        ``gain_ratio`` after the call.  ``remaining`` must be in ascending
-        order, as the engine gives it, and within the first call's."""
+        ``gain`` after the call.  ``remaining`` must be in ascending order,
+        as the engine gives it, and within the first call's."""
         if held is not self._held and held != self._held:
             self._rank(held, remaining)
         items, i = self._items, self._cursor
@@ -135,32 +135,22 @@ class _MarginalRanking:
             self._move(i)
         return items[i] if i < len(items) else None
 
-    def best(self, held: frozenset[str], remaining: Sequence[str]) -> tuple[str | None, Fraction]:
-        """``advance``'s item with its gain; ``(None, 0)`` when no item
-        remains.  The gain is the same object until the cursor moves or the
-        bundle changes."""
-        item = self.advance(held, remaining)
-        if self._gain is None:
-            self._gain = Fraction(*self.gain_ratio)
-        return item, self._gain
-
     def pick(self, held: frozenset[str], remaining: Sequence[str]) -> list[str]:
         """The best item over ``held``, or the first remaining item when the
         best one adds nothing: the pick of every marginal-value strategy."""
         item = self.advance(held, remaining)
-        return [remaining[0] if self.gain_ratio[0] == 0 else item]
+        return [remaining[0] if self.gain[0] == 0 else item]
 
     def _move(self, i: int) -> None:
         self._cursor = i
-        self._gain = None
         ranked = self._ranked
         if i < len(ranked.keys):
             # the truncated value of held + the item, less the base
-            n, d = self._ceiling_ratio if i < self._capped else (ranked.keys[i], ranked.common)
-            p, q = self.base_ratio
-            self.gain_ratio = (n - p, d) if d == q else (n * q - p * d, d * q)
+            n, d = self._ceiling if i < self._reaching else (ranked.keys[i], ranked.common)
+            p, q = self.base
+            self.gain = (n - p, d) if d == q else (n * q - p * d, d * q)
         else:
-            self.gain_ratio = (0, 1)
+            self.gain = (0, 1)
 
     def _rank(self, held: frozenset[str], remaining: Sequence[str]) -> None:
         if self._table is None:
@@ -169,22 +159,20 @@ class _MarginalRanking:
         ranked = self._table.get(held)
         if ranked is None:
             ranked = self._table[held] = _ranked(self.valuation, self._universe, held)
-        items, capped = ranked.items, 0
-        base, base_ratio = ranked.base, (ranked.base_key, ranked.common)
+        items, reaching, base = ranked.items, 0, (ranked.base_key, ranked.common)
         if self._ceiling is not None:
-            n, d = self._ceiling_ratio
+            n, d = self._ceiling
             cap = -(-n * ranked.common // d)  # the least key at or above the ceiling
-            capped = _at_least(ranked.keys, cap)
-            if capped > 1:
-                items = tuple(sorted(items[:capped])) + items[capped:]
+            reaching = _at_least(ranked.keys, cap)
+            if reaching > 1:
+                items = tuple(sorted(items[:reaching])) + items[reaching:]
             if ranked.base_key >= cap:
-                base, base_ratio = self._ceiling, self._ceiling_ratio
+                base = self._ceiling
         self._held = held
         self._ranked = ranked
         self.base = base
-        self.base_ratio = base_ratio
         self._items = items
-        self._capped = capped
+        self._reaching = reaching
         self._move(0)
 
 
@@ -207,9 +195,7 @@ class ProportionalBidder(Strategy):
     by gamma) leaves these bid amounts unchanged - the two scalings cancel -
     so the strategy applies the same formula throughout.  The bid depends
     only on the gain and the budget, so it is reused while both stand.  The
-    gain, the coefficient and the bounds stay int pairs: the bid is capped by
-    one cross-multiplication with the budget, and a ``Fraction`` is built
-    only for an uncapped bid.
+    gain, the coefficient and the bounds stay int pairs until ``_capped``.
 
     ``budget_capped_early`` records whether the budget cap ever bound a
     formula bid while the agent's held value was still below rho*share; the
@@ -250,7 +236,7 @@ class ProportionalBidder(Strategy):
             # base + gain is the truncated value of the best remaining single item
             ranking = self._ranking
             ranking.advance(frozenset(), remaining)
-            (p, q), (g, h), (n, d) = ranking.base_ratio, ranking.gain_ratio, self._large_bound
+            (p, q), (g, h), (n, d) = ranking.base, ranking.gain, self._large_bound
             if (p * h + g * q) * d > n * q * h:
                 return True
             self._large_bound = None  # items only leave the game: the phase is over
@@ -264,19 +250,14 @@ class ProportionalBidder(Strategy):
             return budget
         ranking = self._ranking
         ranking.advance(state.bundles[self.agent_id], state.remaining)
-        gain = ranking.gain_ratio
+        gain = ranking.gain
         last_gain, last_budget, last_bid = self._last
         if gain is last_gain and budget is last_budget:
             return last_bid
-        g, h = gain
-        c, e = self._coefficient
-        p, q = budget.as_integer_ratio()
-        if c * g * q > p * e * h:  # the formula bid is above the budget
-            if ranking.base < self.rho * self.share:
-                self.budget_capped_early = True
-            bid = budget
-        else:
-            bid = Fraction(c * g, e * h)
+        (g, h), (c, e) = gain, self._coefficient
+        bid = _capped(c * g, e * h, budget)
+        if bid is budget and Fraction(*ranking.base) < self.rho * self.share:
+            self.budget_capped_early = True
         self._last = (gain, budget, bid)
         return bid
 
@@ -390,8 +371,8 @@ class GreedyMarginalBidder(Strategy):
         self._ranking = _MarginalRanking(valuation)
 
     def bid(self, state: PublicState) -> Fraction:
-        _, top = self._ranking.best(state.bundles[self.agent_id], state.remaining)
-        return min(top, state.budgets[self.agent_id])
+        self._ranking.advance(state.bundles[self.agent_id], state.remaining)
+        return _capped(*self._ranking.gain, state.budgets[self.agent_id])
 
     def pick(self, state: PublicState) -> Sequence[str]:
         return self._ranking.pick(state.bundles[self.agent_id], state.remaining)

@@ -69,6 +69,12 @@ def integer_keys(values: Iterable[Fraction]) -> tuple[list[int], int]:
     return [n * (common // d) for n, d in ratios], common
 
 
+def _scale(values: Mapping[str, Fraction]) -> tuple[dict[str, int], int]:
+    """Each value times the common denominator, by key, and that denominator."""
+    keys, common = integer_keys(list(values.values()))
+    return dict(zip(values, keys)), common
+
+
 def _as_bundle(items: Iterable[str]) -> Bundle:
     return items if isinstance(items, frozenset) else frozenset(items)
 
@@ -123,14 +129,24 @@ class ValuationOracle:
 
 
 class AdditiveValuation(ValuationOracle):
-    """v(S) = sum of per-item values."""
+    """v(S) = sum of per-item values.
+
+    The values are scaled once, at the first evaluation, to integers over
+    their common denominator, so a query sums ints and builds a single
+    Fraction.
+    """
 
     def __init__(self, values: Mapping[str, Fraction | int]) -> None:
         super().__init__()
         self.item_values = {e: Fraction(x) for e, x in values.items()}
 
+    @cached_property
+    def _scaled(self) -> tuple[dict[str, int], int]:
+        return _scale(self.item_values)
+
     def _value(self, bundle: Bundle) -> Fraction:
-        return sum((self.item_values.get(e, Fraction(0)) for e in bundle), Fraction(0))
+        scaled, common = self._scaled
+        return Fraction(sum([scaled.get(e, 0) for e in bundle]), common)
 
 
 class UnitDemandValuation(ValuationOracle):
@@ -229,9 +245,7 @@ class WeightedCoverageValuation(ValuationOracle):
 
     @cached_property
     def _scaled(self) -> tuple[dict[str, int], int]:
-        """Each element's weight times the common denominator, and that denominator."""
-        keys, common = integer_keys(list(self.element_weights.values()))
-        return dict(zip(self.element_weights, keys)), common
+        return _scale(self.element_weights)
 
     def _value(self, bundle: Bundle) -> Fraction:
         scaled, common = self._scaled

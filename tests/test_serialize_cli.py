@@ -780,6 +780,14 @@ def test_cli_verify_rebuilds_builtin_reports_from_their_name(tmp_path, capsys, a
         ("proportional:rho=0", "rho must be positive"),
         ("proportional:share=-1", "share must be nonnegative"),
         ("altruistic:share=-1", "share must be nonnegative"),
+        ("proportional:shrae=mms,rohh=1/9", "unknown parameter 'shrae' for strategy 'proportional'"),
+        ("proportional:rho=1/3,rohh=1/9", "unknown parameter 'rohh' for strategy 'proportional'"),
+        ("altruistic:rho=1/2", "unknown parameter 'rho' for strategy 'altruistic'"),
+        ("random:amount=1", "unknown parameter 'amount' for strategy 'random'"),
+        ("constant:seed=4", "unknown parameter 'seed' for strategy 'constant'"),
+        ("greedy:seed=4", "unknown parameter 'seed' for strategy 'greedy'"),
+        ("unit_demand:share=aps", "unknown parameter 'share' for strategy 'unit_demand'"),
+        ("zero:amount=0", "unknown parameter 'amount' for strategy 'zero'"),
     ],
 )
 def test_cli_out_of_range_strategy_parameters_are_input_errors(tmp_path, capsys, spec, message):

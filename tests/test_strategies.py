@@ -365,6 +365,11 @@ def _best_marginal(v, held, remaining):
     return best_item, best
 
 
+def _best(ranking, held, remaining):
+    """The ranking's best item over ``held`` and its gain as a ``Fraction``."""
+    return ranking.advance(held, remaining), Fraction(*ranking.gain)
+
+
 def _best_singleton(v, remaining):
     best_item = None
     best = Fraction(0)
@@ -462,8 +467,8 @@ def test_ceiling_ranking_matches_the_truncated_scan(case):
     ranking = _MarginalRanking(v, ceiling)
     held, remaining = frozenset(), list(items)
     for item, keep in moves + [(None, False)]:
-        assert ranking.best(held, remaining) == _best_marginal(truncated, held, remaining)
-        assert ranking.base == truncated.value(held)
+        assert _best(ranking, held, remaining) == _best_marginal(truncated, held, remaining)
+        assert Fraction(*ranking.base) == truncated.value(held)
         if item is None:
             break
         remaining.remove(item)
@@ -509,8 +514,8 @@ def test_rankings_sharing_an_oracle_match_the_truncated_scan(case):
         states.append([ranking, scan, frozenset(), list(universe), iter(moves)])
     for r in turns:
         ranking, scan, held, remaining, moves = states[r]
-        assert ranking.best(held, remaining) == _best_marginal(scan, held, remaining)
-        assert ranking.base == scan.value(held)
+        assert _best(ranking, held, remaining) == _best_marginal(scan, held, remaining)
+        assert Fraction(*ranking.base) == scan.value(held)
         item, keep = next(moves, (None, False))
         if item is not None:
             remaining.remove(item)
@@ -521,8 +526,8 @@ def test_rankings_sharing_an_oracle_match_the_truncated_scan(case):
 def test_rankings_let_their_oracle_go():
     v = AdditiveValuation({"e1": 2, "e2": 1})
     ranking = _MarginalRanking(v, Fraction(3, 2))
-    assert ranking.best(frozenset(), ["e1", "e2"]) == ("e1", Fraction(3, 2))
-    assert ranking.best(frozenset(["e1"]), ["e2"]) == ("e2", Fraction(0))
+    assert _best(ranking, frozenset(), ["e1", "e2"]) == ("e1", Fraction(3, 2))
+    assert _best(ranking, frozenset(["e1"]), ["e2"]) == ("e2", Fraction(0))
     ref = weakref.ref(v)
     del v, ranking
     gc.collect()

@@ -168,6 +168,25 @@ def test_xos_value_is_the_best_clause_sum_or_zero(clauses, bundles):
         assert got == expected and type(got) is Fraction
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(_XOS_ITEMS),
+        st.fractions(min_value=-3, max_value=3, max_denominator=12),
+        max_size=len(_XOS_ITEMS),
+    ),
+    st.lists(st.frozensets(st.sampled_from(_XOS_ITEMS + ["z"])), min_size=1, max_size=8),
+)
+def test_additive_value_is_the_fraction_sum(values, bundles):
+    # the integer sum over the common denominator against a plain Fraction
+    # sum: mixed denominators, negative and zero values, an empty value map,
+    # and items absent from the map ("z" always is)
+    v = AdditiveValuation(values)
+    for bundle in bundles + [frozenset()]:
+        got = v.value(bundle)
+        assert got == sum((values.get(e, 0) for e in bundle), Fraction(0)) and type(got) is Fraction
+
+
 def test_xos_counters_over_a_fixed_query_sequence():
     v = XOSValuation([{"a": 1, "b": 2}, {"b": 1, "c": 3}, {"d": -1}])
     queries = [set(), {"a"}, {"a"}, frozenset(["a"]), {"a", "b"}, {"b", "a"},
