@@ -178,15 +178,17 @@ def _parse_strategy_spec(
     exact_share: Callable[[str, str], Fraction],
 ):
     name, _, params_text = spec_text.partition(":")
+    if name not in _STRATEGY_PARAMS:
+        raise InputError(f"unknown strategy {name!r}")
     params: dict[str, str] = {}
     if params_text:
         for piece in params_text.split(","):
             key, _, value = piece.partition("=")
             if not value:
                 raise InputError(f"bad strategy parameter {piece!r}")
+            if key in params:
+                raise InputError(f"repeated parameter {key!r} for strategy {name!r}")
             params[key] = value
-    if name not in _STRATEGY_PARAMS:
-        raise InputError(f"unknown strategy {name!r}")
     for key in params:
         if key not in _STRATEGY_PARAMS[name]:
             raise InputError(f"unknown parameter {key!r} for strategy {name!r}")

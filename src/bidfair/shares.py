@@ -18,13 +18,15 @@ prices p >= 0 summing to 1, of the best value a budget b can buy (Babaioff,
 Ezra and Feige, EC 2021).  Equivalently it is the largest value z for which
 bundle weights {lambda_T} exist with total weight 1, support restricted to
 bundles of value at least z, and per-item coverage at most b.  A probe z
-solves a packing LP: maximise sum lambda_T subject to per-item coverage at
-most b, over the inclusion-minimal bundles at z (value at least z, no proper
-subset of value at least z).  Shrinking a support bundle to a minimal one only
-lowers coverage, so z is reached iff the optimum is at least 1, and the
-witness is the optimal lambda scaled to total weight 1.  All rows are <= rows
-with a positive right-hand side, so the exact simplex starts from the slack
-basis.
+solves a packing LP at capacity 1: maximise sum mu_T subject to per-item
+coverage at most 1, over the inclusion-minimal bundles at z (value at least z,
+no proper subset of value at least z).  The weights are lambda = b * mu, so
+the rows are all ints and the LP is the one at capacity b with every variable,
+slacks included, divided by b: the exact simplex takes the same pivots and
+returns the same duals.  Shrinking a support bundle to a minimal one only
+lowers coverage, so z is reached iff b times the optimum is at least 1, and
+the witness is the optimal mu scaled to total weight 1.  All rows are <= rows
+with right-hand side 1, so the simplex starts from the slack basis.
 
 The search descends on prices, and each probe is the LP's answer to the one
 before.  Any prices give an upper bound, so the first probe is the best bundle
@@ -37,10 +39,15 @@ contains a column and costs more than b.  The best bundle affordable under
 those prices is then strictly below z and still an upper bound: it is the next
 probe.  The probes fall strictly, so the search ends, either on the LP at the
 share itself, the one a search over all values would end on, or at v(empty),
-which the empty bundle reaches alone.  The prices of the last cut (or the
-first prices, if no probe fails) come back with the share: under them the
-best affordable value is the share, an upper certificate to match the
-witness.
+which the empty bundle reaches alone.
+
+Between probes the prices are int vectors k, standing for k / sum k: the
+``integer_keys`` of the singletons' values or of the duals.  With b = p/q a
+bundle is affordable iff its int cost is at most p * sum k // q, and the costs
+of all 2^m bundles are built by doubling, one list pass per item.  The prices
+of the last cut (or the first prices, if no probe fails) come back with the
+share as Fractions: under them the best affordable value is the share, an
+upper certificate to match the witness.
 
 The maximin share is the best worst-bundle value over partitions of the items
 into n (possibly empty) bundles; the witness is an optimal partition.  The
@@ -52,7 +59,9 @@ Below a node, bundle k ends up between block_k and block_k | unplaced, so its
 rank is at most reach(block_k | unplaced), the highest rank of any subset of
 that set.  A node whose min_k reach(block_k | unplaced) is at most the
 incumbent is cut: its leaves could at best tie, never replace, so value and
-witness are those of the full search, on every table.
+witness are those of the full search, on every table.  Since reach only grows
+with the set, the minimum is reach(unplaced) itself while some block is empty,
+so the search takes the minimum over blocks only once all n are used.
 
 One subset closure serves both shares: for every mask, the highest rank of
 any proper subset (the APS columns) and of any subset (the MMS bound), built
@@ -143,14 +152,24 @@ def mms_exact(v: ValuationOracle, n: int, items: Iterable[str]) -> ShareResult:
                 best_blocks = tuple(blocks)
             return
         # below this node bundle k ends up between b and b | rest, the unplaced
-        # items i.. added, and no set in between ranks above reach[b | rest]
+        # items i.. added, and no set in between ranks above reach[b | rest];
+        # reach only grows with the set, so while a block is empty the least
+        # of these is reach[rest] itself
         rest = full >> i << i
-        if min(reach[b | rest] for b in blocks) <= best:
+        if used < n:
+            if reach[rest] <= best:
+                return
+        elif min(reach[b | rest] for b in blocks) <= best:
             return
-        for idx in range(min(used + 1, n)):
-            blocks[idx] |= 1 << i
-            search(i + 1, max(used, idx + 1))
-            blocks[idx] &= ~(1 << i)
+        bit = 1 << i
+        for idx in range(used):
+            blocks[idx] |= bit
+            search(i + 1, used)
+            blocks[idx] ^= bit
+        if used < n:
+            blocks[used] = bit
+            search(i + 1, used + 1)
+            blocks[used] = 0
 
     search(0, 0)
     witness = tuple(_mask_to_bundle(b, items) for b in best_blocks)
@@ -178,24 +197,21 @@ def _closure(ranks: Sequence[int], m: int) -> tuple[list[int], list[int]]:
     return below, reach
 
 
-def _affordable(prices: Sequence[Fraction], budget: Fraction) -> list[int]:
-    """The masks over the items of ``prices`` whose cost is at most budget, in
-    mask order.
+def _affordable(prices: Sequence[int], limit: int) -> list[int]:
+    """The masks over the items of int ``prices`` whose cost is at most
+    ``limit``, in mask order.
 
-    Costs are ints over the common denominator of the prices and the budget,
-    and each mask costs its lowest-bit predecessor's cost plus one price, the
-    predecessor ``_bundles`` builds it from.  The empty mask costs nothing, so
-    it is affordable under any nonnegative budget.
+    The costs of all 2^m masks are built by doubling: after item j the list
+    holds the masks below 2^(j+1), and the masks holding item j are the ones
+    before them plus its price.  The empty mask costs nothing, so it is
+    affordable under any nonnegative limit.
 
-    >>> _affordable([Fraction(1, 2), Fraction(1, 3)], Fraction(1, 2))
+    >>> _affordable([3, 2], 3)
     [0, 1, 2]
     """
-    keys, _ = integer_keys([budget, *prices])
-    limit, scaled = keys[0], keys[1:]
     costs = [0]
-    for mask in range(1, 1 << len(scaled)):
-        low = mask & -mask
-        costs.append(costs[mask ^ low] + scaled[low.bit_length() - 1])
+    for price in prices:
+        costs += [cost + price for cost in costs]
     return [mask for mask, cost in enumerate(costs) if cost <= limit]
 
 
@@ -203,10 +219,10 @@ def aps_exact(v: ValuationOracle, entitlement: Fraction | int, items: Iterable[s
     """Anyprice share, its witness weights, and prices that bound it from above.
 
     Each probe z, from the first down, is the best rank affordable under the
-    current prices, so z is at least the share.  Its packing LP either reaches
-    1, and then z is the share and the LP's weights the witness, or its duals,
-    normalised, are the next prices, under which no bundle of rank z or more
-    is affordable.
+    current prices, so z is at least the share.  Its packing LP at capacity 1
+    either has b times its optimum at least 1, and then z is the share and the
+    LP's weights the witness, or its duals, as int keys, are the next prices,
+    under which no bundle of rank z or more is affordable.
     """
     b = Fraction(entitlement)
     if not (0 < b <= 1):
@@ -215,12 +231,13 @@ def aps_exact(v: ValuationOracle, entitlement: Fraction | int, items: Iterable[s
     m = len(items)
     candidates, ranks, below, _ = _table(v, items)
 
-    weights = [max(candidates[ranks[1 << j]], 0) for j in range(m)]
-    if not any(weights):
-        weights = [1] * m
-    total = sum(weights)
-    prices = [Fraction(w) / total for w in weights]
-    z = max(ranks[mask] for mask in _affordable(prices, b))
+    # prices are int vectors, each proportional to the prices it stands for;
+    # with b = p/q, a mask is affordable iff its cost is at most p*sum // q
+    p, q = b.numerator, b.denominator
+    prices, _ = integer_keys([max(candidates[ranks[1 << j]], 0) for j in range(m)])
+    if not any(prices):
+        prices = [1] * m
+    z = max(map(ranks.__getitem__, _affordable(prices, p * sum(prices) // q)))
     # every z <= v(empty) is witnessed by putting all weight on the empty bundle
     witness = FractionalPartition(((frozenset(), Fraction(1)),))
     while z > ranks[0]:
@@ -228,8 +245,8 @@ def aps_exact(v: ValuationOracle, entitlement: Fraction | int, items: Iterable[s
         # optimum is finite and positive
         masks = [mask for mask in range(len(ranks)) if ranks[mask] >= z > below[mask]]
         a_ub = [[(mask >> j) & 1 for mask in masks] for j in range(m)]
-        result = solve_lp([1] * len(masks), a_ub=a_ub, b_ub=[b] * m)
-        if result.objective >= 1:
+        result = solve_lp([1] * len(masks), a_ub=a_ub, b_ub=[1] * m)
+        if b * result.objective >= 1:
             witness = FractionalPartition(
                 tuple(
                     (_mask_to_bundle(mask, items), weight / result.objective)
@@ -238,10 +255,10 @@ def aps_exact(v: ValuationOracle, entitlement: Fraction | int, items: Iterable[s
                 )
             )
             break
-        total = sum(result.duals)
-        prices = [y / total for y in result.duals]
-        z = max(ranks[mask] for mask in _affordable(prices, b))
-    return ShareResult(candidates[z], witness, dict(zip(items, prices)))
+        prices, _ = integer_keys(result.duals)
+        z = max(map(ranks.__getitem__, _affordable(prices, p * sum(prices) // q)))
+    total = sum(prices)
+    return ShareResult(candidates[z], witness, {e: Fraction(y, total) for e, y in zip(items, prices)})
 
 
 def aps_unit_demand(values: Iterable[Fraction | int], entitlement: Fraction | int) -> Fraction:
@@ -318,4 +335,5 @@ def best_affordable(
         raise ValueError("budget must be nonnegative")
     items = guarded_items(sorted(items), "exact share computation")
     bundles = _bundles(items)
-    return max(v.value(bundles[mask]) for mask in _affordable([prices[e] for e in items], budget))
+    keys, _ = integer_keys([budget, *(prices[e] for e in items)])
+    return max(v.value(bundles[mask]) for mask in _affordable(keys[1:], keys[0]))

@@ -10,7 +10,8 @@ rule picks the smallest eligible column, so the solver terminates on every
 input and the same input always takes the same pivots.
 
 The tableau holds Python ints over one common denominator d > 0, not
-fractions.  Each input row is scaled to ints by ``valuations.integer_keys``,
+fractions.  Each input row is scaled to ints by ``valuations.integer_keys``
+(a row of ints, right-hand side included, is taken as it is, at scale 1),
 with its slack and artificial measured in units of one over that scale, so the
 identity columns stay unit columns and d starts at 1.  A pivot on p keeps the
 pivot row and maps every other row r to (M_r * p - M_r[s] * M_pivot) // d,
@@ -73,7 +74,10 @@ class _Tableau:
         for i, (a, b) in enumerate(zip(a_ub, rhs)):
             if len(a) != n_vars:
                 raise ValueError("row length mismatch")
-            keys, scale = integer_keys([*map(_rational, a), b])
+            if type(b) is int and all(type(x) is int for x in a):
+                keys, scale = [*a, b], 1  # an int row is its own keys
+            else:
+                keys, scale = integer_keys([*map(_rational, a), b])
             sign = -1 if b < 0 else 1  # a negated row's artificial starts in the basis
             row = [0] * self.width
             row[self.rhs_col] = sign * keys.pop()

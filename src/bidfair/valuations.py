@@ -22,9 +22,10 @@ import os
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 Bundle = frozenset[str]
+K = TypeVar("K")
 
 
 class SizeGuardExceeded(ValueError):
@@ -69,7 +70,7 @@ def integer_keys(values: Iterable[Fraction]) -> tuple[list[int], int]:
     return [n * (common // d) for n, d in ratios], common
 
 
-def _scale(values: Mapping[str, Fraction]) -> tuple[dict[str, int], int]:
+def _scale(values: Mapping[K, Fraction]) -> tuple[dict[K, int], int]:
     """Each value times the common denominator, by key, and that denominator."""
     keys, common = integer_keys(list(values.values()))
     return dict(zip(values, keys)), common
@@ -200,6 +201,10 @@ class RowSubstitutesValuation(ValuationOracle):
     Items within a row are copies of one another: holding any item of row i
     contributes the row weight w_i exactly once.  Rows combine additively,
     so v(S) = sum of weights of rows that S touches.  Always submodular.
+
+    The weights are scaled once, at the first evaluation, to integers over
+    their common denominator, so a query sums ints and builds a single
+    Fraction.
     """
 
     def __init__(self, rows: Sequence[Sequence[str]], weights: Sequence[Fraction | int]) -> None:
@@ -210,9 +215,14 @@ class RowSubstitutesValuation(ValuationOracle):
         self.weights = [Fraction(w) for w in weights]
         self._row_of = {e: i for i, row in enumerate(self.rows) for e in row}
 
+    @cached_property
+    def _scaled(self) -> tuple[dict[int, int], int]:
+        return _scale(dict(enumerate(self.weights)))
+
     def _value(self, bundle: Bundle) -> Fraction:
+        scaled, common = self._scaled
         touched = {self._row_of[e] for e in bundle if e in self._row_of}
-        return sum((self.weights[i] for i in touched), Fraction(0))
+        return Fraction(sum([scaled[i] for i in touched]), common)
 
 
 class WeightedCoverageValuation(ValuationOracle):

@@ -788,6 +788,8 @@ def test_cli_verify_rebuilds_builtin_reports_from_their_name(tmp_path, capsys, a
         ("greedy:seed=4", "unknown parameter 'seed' for strategy 'greedy'"),
         ("unit_demand:share=aps", "unknown parameter 'share' for strategy 'unit_demand'"),
         ("zero:amount=0", "unknown parameter 'amount' for strategy 'zero'"),
+        ("proportional:share=aps,share=1/1000", "repeated parameter 'share' for strategy 'proportional'"),
+        ("constant:amount=1,amount=0", "repeated parameter 'amount' for strategy 'constant'"),
     ],
 )
 def test_cli_out_of_range_strategy_parameters_are_input_errors(tmp_path, capsys, spec, message):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import corpus_helpers as ch
 from test_valuations import DelegatingOracle
-from bidfair import shares
+from bidfair import shares, simplex
 from bidfair.model import FractionalPartition
 from bidfair.shares import (
     _closure,
@@ -304,6 +304,14 @@ def test_packing_aps_matches_equality_row_formulation(instance, entitlement):
         assert all(v.value(sub) < res.value for sub in proper_subsets)
 
 
+def mask_bundle(mask, items):
+    return frozenset(items[j] for j in range(len(items)) if mask >> j & 1)
+
+
+def table_of(items, values):
+    return TableValuation(items, {mask_bundle(mask, items): x for mask, x in enumerate(values)})
+
+
 def mms_reference(v, n, items):
     """MMS by the plain exhaustive search over Fraction values, no bound."""
     items = sorted(items)
@@ -347,6 +355,10 @@ def small_tables(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(instance=small_tables(), n=st.integers(min_value=1, max_value=4))
+# more bundles than items: a block stays empty at every node
+@example(instance=(table_of(["a", "b"], [0, 3, 1, 2]), ["a", "b"]), n=3)
+# v(empty) is the largest value, so an empty block ranks above every used one
+@example(instance=(table_of(["a", "b", "c"], [5, 1, 2, 4, 3, 0, 2, 1]), ["a", "b", "c"]), n=2)
 def test_mms_matches_the_unpruned_fraction_search(instance, n):
     v, items = instance
     res = mms_exact(v, n, items)
@@ -450,10 +462,6 @@ def mixed_tables(draw, max_items=5):
     return RecordingTable(items, table), items
 
 
-def mask_bundle(mask, items):
-    return frozenset(items[j] for j in range(len(items)) if mask >> j & 1)
-
-
 @settings(max_examples=150, deadline=None)
 @given(instance=mixed_tables())
 def test_value_table_matches_the_per_mask_construction(instance):
@@ -547,10 +555,6 @@ def zero_singleton_tables(draw):
     return TableValuation(items, table), items
 
 
-def table_of(items, values):
-    return TableValuation(items, {mask_bundle(mask, items): x for mask, x in enumerate(values)})
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     instance=st.one_of(small_valuations(), small_tables(), zero_singleton_tables()),
@@ -570,6 +574,43 @@ def test_price_cuts_match_bisection(instance, entitlement):
     assert (res.value, res.witness) == (value, witness)
     assert sum(res.prices.values()) == (1 if items else 0)
     assert best_affordable(v, items, res.prices, entitlement) == res.value
+
+
+def test_aps_probes_at_capacity_one_are_the_probes_at_capacity_b_rescaled(monkeypatch):
+    # every packing LP aps_exact solves on corpus instances 0-59 has capacity
+    # 1; at capacity b the same pivots give the same duals and b times x
+    probes = []
+
+    def recording(objective, a_ub=(), b_ub=()):
+        probes.append((objective, a_ub, b_ub, b))
+        return solve_lp(objective, a_ub, b_ub)
+
+    pivots = []
+    pivot = simplex._Tableau._pivot
+
+    def recording_pivot(tab, row, col):
+        pivots.append((row, col))
+        pivot(tab, row, col)
+
+    monkeypatch.setattr(shares, "solve_lp", recording)
+    for idx in range(60):
+        inst = ch.instance(idx)
+        for spec in inst.agents:
+            b = spec.entitlement
+            aps_exact(spec.valuation, b, inst.items)
+    assert probes
+    monkeypatch.setattr(simplex._Tableau, "_pivot", recording_pivot)
+    for objective, a_ub, b_ub, b in probes:
+        assert b_ub == [1] * len(a_ub)
+        pivots.clear()
+        at_one = solve_lp(objective, a_ub, b_ub)
+        one_pivots = list(pivots)
+        pivots.clear()
+        at_b = solve_lp(objective, a_ub, [b] * len(a_ub))
+        assert pivots == one_pivots
+        assert at_one.duals == at_b.duals
+        assert at_one.x == [x / b for x in at_b.x]
+        assert at_one.objective == at_b.objective / b
 
 
 def test_price_cuts_solve_fewer_lps_than_bisection(monkeypatch):
@@ -601,6 +642,19 @@ def test_corpus_aps_prices_bound_the_share_from_above():
             assert all(p >= 0 for p in res.prices.values())
             assert sum(res.prices.values()) == 1
             assert best_affordable(spec.valuation, inst.items, res.prices, spec.entitlement) == res.value
+
+
+def test_corpus_aps_prices_are_pinned():
+    # all 180 agents of corpus instances 0-59: each item's price, items sorted
+    lines = []
+    for idx in range(60):
+        for agent_id in ch.instance(idx).agent_ids:
+            prices = ch.aps_of(idx, agent_id).prices
+            lines.append(f"{idx} {agent_id} " + " ".join(f"{e}:{p}" for e, p in sorted(prices.items())))
+    assert len(lines) == 180
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "5bf9803d4a7f3bd434cd9840a4adf572d2df98467592a8313523c3200aa22cf2"
+    )
 
 
 def test_corpus_shares_from_the_coverage_table_match_the_query_table():

@@ -187,6 +187,24 @@ def test_additive_value_is_the_fraction_sum(values, bundles):
         assert got == sum((values.get(e, 0) for e in bundle), Fraction(0)) and type(got) is Fraction
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(_XOS_ITEMS), st.integers(0, 2), max_size=len(_XOS_ITEMS)),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12), min_size=3, max_size=3),
+    st.lists(st.frozensets(st.sampled_from(_XOS_ITEMS + ["z"])), min_size=1, max_size=8),
+)
+def test_row_substitutes_value_is_the_fraction_sum_of_touched_rows(row_of, weights, bundles):
+    # the integer sum over the common denominator against a plain Fraction
+    # sum: mixed denominators, negative and zero weights, empty rows, and
+    # items in no row ("z" never is)
+    rows = [[e for e, i in row_of.items() if i == r] for r in range(3)]
+    v = RowSubstitutesValuation(rows, weights)
+    for bundle in bundles + [frozenset()]:
+        got = v.value(bundle)
+        touched = {row_of[e] for e in bundle if e in row_of}
+        assert got == sum((weights[i] for i in touched), Fraction(0)) and type(got) is Fraction
+
+
 def test_xos_counters_over_a_fixed_query_sequence():
     v = XOSValuation([{"a": 1, "b": 2}, {"b": 1, "c": 3}, {"d": -1}])
     queries = [set(), {"a"}, {"a"}, frozenset(["a"]), {"a", "b"}, {"b", "a"},
