@@ -278,6 +278,8 @@ def cmd_play(args: argparse.Namespace) -> int:
         raise InputError("an instance file (or --builtin) is required")
     instance = _load_instance(args.instance)
     config = _game_config_from_args(args)
+    if config.tie.target is not None and config.tie.target not in instance.agent_ids:
+        raise InputError(f"no agent {config.tie.target!r} in this instance")
     assigned = {}
     for text in args.strategy or ():
         agent_id, _, spec_text = text.partition("=")

@@ -5,17 +5,17 @@ as an input rather than computing it, so the same code serves both direct
 play with oracle shares and the guess-refinement allocator.  Strategies see
 the game only through public state and their own value oracle.
 
-The marginal-value strategies rank the items by marginal value over the
-bundle they hold each time that bundle changes, and between their wins take
-the best still-remaining item from that ranking.  A ranking over one held
-bundle costs m + 1 value queries and depends only on the oracle, the game's
-items and the bundle, so it is computed once per distinct held bundle and
-oracle and shared by every bidder and game on that oracle: the allocator's
-games, which differ in one agent's guess, rank each bundle once in all.  The
-ranking is exact for every valuation, and it truncates at a ceiling in ints,
-so a bidder that truncates its valuation queries its own oracle, whose cache
-outlives the game.  Gains are int pairs; a bid is capped at the budget by one
-rule, ``_capped``.
+The marginal-value strategies rank the items still in play by marginal
+value over the bundle they hold each time that bundle changes, and between
+their wins take the best still-remaining item from that ranking.  A ranking
+over one held bundle costs a value query per remaining item, plus one.  The
+latest ranking of each (oracle, held bundle) is shared by every bidder and
+game on that oracle while it covers their remaining items, and replaced when
+a game needs a wider one: the allocator's games, which differ in one agent's
+guess, rank most bundles once in all.  The ranking is exact for every
+valuation, and it truncates at a ceiling in ints, so a bidder that truncates
+its valuation queries its own oracle, whose cache outlives the game.  Gains
+are int pairs; a bid is capped at the budget by one rule, ``_capped``.
 """
 
 from __future__ import annotations
@@ -46,19 +46,20 @@ def still_remaining(remaining: Sequence[str], item: str) -> bool:
 
 
 class _Ranked(NamedTuple):
-    """The untruncated ranking of a universe's items over one held bundle."""
+    """The untruncated ranking of some remaining items over one held bundle."""
 
-    items: tuple[str, ...]  # the universe less the bundle, larger value first, ascending on ties
+    items: tuple[str, ...]  # ``covered`` less the bundle, larger value first, ascending on ties
     keys: tuple[int, ...]  # v(held + item) * common, in that order
     base_key: int  # v(held) * common
     common: int
+    covered: frozenset[str]  # the remaining items it was ranked over
 
 
-_UNRANKED = _Ranked((), (), 0, 1)
+_UNRANKED = _Ranked((), (), 0, 1, frozenset())
 
-# oracle -> universe -> held bundle -> its ranking.  Weak in the oracle, so its
-# rankings go with it; each entry holds no more than the m + 1 cached values
-# it was built from.
+# oracle -> held bundle -> its latest ranking.  Weak in the oracle, so its
+# rankings go with it; each entry holds no more than the values it was built
+# from, all in the oracle's cache.
 _RANKINGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -67,14 +68,15 @@ def _at_least(keys: Sequence[int], key: int) -> int:
     return bisect_right(keys, -key, key=neg)
 
 
-def _ranked(valuation: ValuationOracle, universe: Sequence[str], held: frozenset[str]) -> _Ranked:
-    items = [e for e in universe if e not in held]
+def _ranked(valuation: ValuationOracle, remaining: Sequence[str], held: frozenset[str]) -> _Ranked:
+    items = [e for e in remaining if e not in held]
     values = [valuation.value(held | {e}) for e in items]
     values.append(valuation.value(held))
     keys, common = integer_keys(values)
     base_key = keys.pop()
     order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
-    return _Ranked(tuple(items[j] for j in order), tuple(keys[j] for j in order), base_key, common)
+    items, keys = tuple(items[j] for j in order), tuple(keys[j] for j in order)
+    return _Ranked(items, keys, base_key, common, frozenset(remaining))
 
 
 def _capped(n: int, d: int, budget: Fraction) -> Fraction:
@@ -86,18 +88,18 @@ def _capped(n: int, d: int, budget: Fraction) -> Fraction:
 class _MarginalRanking:
     """The items ranked by marginal value over one held bundle.
 
-    A ranking covers the ranking's *universe*, the item list of its first
-    call (in a game, round 1's items), less the held bundle: items of larger
-    gain come first, and equal gains keep ascending item order.  Gains over
-    a fixed bundle never change and items only leave the game, so until the
-    bundle changes the best item is the first ranked one still remaining,
-    found by a cursor that only moves forward.  This holds for every
-    valuation: it needs no submodularity.
+    A ranking covers at least the items remaining when the bundle changed,
+    less the bundle: items of larger gain come first, and equal gains keep
+    ascending item order.  Gains over a fixed bundle never change and items
+    only leave the game, so until the bundle changes the best item is the
+    first ranked one still remaining, found by a cursor that only moves
+    forward.  This holds for every valuation: it needs no submodularity.
 
-    The untruncated ranking, m + 1 value queries, is kept per (oracle,
-    universe, held bundle) and shared by every ``_MarginalRanking`` on that
-    oracle, in this game and later ones.  Entries never change once stored,
-    so rankings running concurrently at worst compute one twice.
+    The untruncated ranking, one value query per remaining item plus one, is
+    kept per (oracle, held bundle) and shared by every ``_MarginalRanking``
+    on that oracle, in this game and later ones, while its items cover the
+    remaining ones; otherwise a ranking over the remaining items replaces
+    it, and a ``_MarginalRanking`` still reading the old one keeps it.
 
     With a ``ceiling`` the ranking is that of min(v, ceiling), with no
     truncated oracle queried.  Clamping keeps the order, so the items whose
@@ -111,8 +113,7 @@ class _MarginalRanking:
     def __init__(self, valuation: ValuationOracle, ceiling: Fraction | None = None) -> None:
         self.valuation = valuation
         self._ceiling = None if ceiling is None else ceiling.as_integer_ratio()
-        self._table: dict[frozenset[str], _Ranked] | None = None  # the universe's rankings
-        self._universe: tuple[str, ...] = ()
+        self._table: dict[frozenset[str], _Ranked] = _RANKINGS.setdefault(valuation, {})
         self._held: frozenset[str] | None = None
         self.base = (0, 1)  # v(held), truncated at the ceiling
         self._ranked = _UNRANKED
@@ -125,7 +126,7 @@ class _MarginalRanking:
         """Item of maximal marginal value over ``held``, earliest in
         ascending order on ties, or None when no item remains; its gain is
         ``gain`` after the call.  ``remaining`` must be in ascending order,
-        as the engine gives it, and within the first call's."""
+        as the engine gives it."""
         if held is not self._held and held != self._held:
             self._rank(held, remaining)
         items, i = self._items, self._cursor
@@ -153,12 +154,9 @@ class _MarginalRanking:
             self.gain = (0, 1)
 
     def _rank(self, held: frozenset[str], remaining: Sequence[str]) -> None:
-        if self._table is None:
-            self._universe = tuple(remaining)
-            self._table = _RANKINGS.setdefault(self.valuation, {}).setdefault(self._universe, {})
         ranked = self._table.get(held)
-        if ranked is None:
-            ranked = self._table[held] = _ranked(self.valuation, self._universe, held)
+        if ranked is None or not ranked.covered.issuperset(remaining):
+            ranked = self._table[held] = _ranked(self.valuation, remaining, held)
         items, reaching, base = ranked.items, 0, (ranked.base_key, ranked.common)
         if self._ceiling is not None:
             n, d = self._ceiling

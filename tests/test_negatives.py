@@ -9,6 +9,7 @@ import pytest
 
 from bidfair.engine import PublicState, run_game, verify_transcript
 from bidfair.negatives import (
+    STAGED,
     XosSniperBidder,
     altruistic_negative_ratio,
     gen_altruistic_negative,
@@ -101,6 +102,15 @@ def test_modified_negative_runs(k):
     value, alloc, tr = run_and_value(run)
     assert value == 1
     assert value / run.share_value == altruistic_negative_ratio(k)
+
+
+@pytest.mark.parametrize("name,queries", [("original", 1197), ("altruistic", 1197), ("modified", 32256)])
+def test_staged_runs_ask_only_about_items_in_play(name, queries):
+    # each held bundle is ranked over the items still in play, so a ranking
+    # that also values items already allocated asks more than these counts
+    run = STAGED[name](3)
+    run.execute()
+    assert run.instance.valuation(run.agent).query_count == queries
 
 
 def test_modified_tail_rows_match_last_stage_value():

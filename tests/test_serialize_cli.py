@@ -1130,6 +1130,8 @@ def test_cli_argument_validation(tmp_path, capsys):
     assert run_cli("play", str(inst_path), "--strategy", "ghost=greedy") == 2
     assert run_cli("shares", str(inst_path), "--agent", "ghost") == 2
     capsys.readouterr()
+    assert run_cli("play", str(inst_path), "--tiebreak", "adversarial", "--target", "nobody") == 2
+    assert "no agent 'nobody' in this instance" in capsys.readouterr().err
 
 
 def test_cli_shares_has_no_size_option(tmp_path, capsys):

@@ -502,9 +502,31 @@ def shared_ranking_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=shared_ranking_cases())
+@example(
+    # the ranking over the strict subset goes first and stores the entries of
+    # {} and {e0}; the first full ranking reaches both with e2 still in play,
+    # so it must rank them again, and over {e0} its best item is then e2
+    case=(
+        ["e0", "e1", "e2"],
+        {
+            frozenset(e for j, e in enumerate(["e0", "e1", "e2"]) if mask >> j & 1): Fraction(
+                sum(w for j, w in enumerate([3, 1, 2]) if mask >> j & 1)
+            )
+            for mask in range(8)
+        },
+        [
+            (None, ["e0", "e1", "e2"], [("e0", True), ("e1", False), ("e2", True)]),
+            (Fraction(1), ["e0", "e1", "e2"], [("e0", False), ("e1", True), ("e2", False)]),
+            (Fraction(5, 2), ["e0", "e1", "e2"], [("e2", True), ("e0", True), ("e1", True)]),
+            (None, ["e0", "e1"], [("e0", True), ("e1", True)]),
+        ],
+        [3, 3, 3, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2],
+    )
+)
 def test_rankings_sharing_an_oracle_match_the_truncated_scan(case):
-    # the rankings on one oracle share their untruncated rankings per
-    # universe and held bundle; each must still read as its own scan
+    # the rankings on one oracle share the latest untruncated ranking of each
+    # held bundle, replaced when one needs more items than it covers; each
+    # must still read as its own scan
     items, table, rankings, turns = case
     v = TableValuation(items, table)
     states = []
@@ -532,6 +554,23 @@ def test_rankings_let_their_oracle_go():
     del v, ranking
     gc.collect()
     assert ref() is None
+
+
+def test_a_ranking_asks_only_about_items_in_play():
+    asked = []
+
+    class Recording(AdditiveValuation):
+        def value(self, bundle):
+            asked.append(frozenset(bundle))
+            return super().value(bundle)
+
+    v = Recording({"e1": 3, "e2": 2, "e3": 1})
+    ranking = _MarginalRanking(v)
+    assert _best(ranking, frozenset(), ["e1", "e2", "e3"]) == ("e1", 3)
+    asked.clear()
+    # e2 has left the game: ranking over {e1} asks nothing about it
+    assert _best(ranking, frozenset(["e1"]), ["e3"]) == ("e3", 1)
+    assert asked and all(bundle <= {"e1", "e3"} for bundle in asked)
 
 
 def _bid(p, remaining, budget, held=()):
