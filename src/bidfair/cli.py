@@ -228,6 +228,13 @@ def _game_config_from_args(args: argparse.Namespace) -> GameConfig:
     return _checked(GameConfig, mode=args.mode, rho=rho, strict_threshold=not args.lenient_threshold, tie=tie)
 
 
+def _check_tie_target(config: GameConfig, instance: Instance) -> None:
+    """A tie-break's target must be an agent of the instance, in ``play``'s
+    arguments and in a report alike."""
+    if config.tie.target is not None and config.tie.target not in instance.agent_ids:
+        raise InputError(f"no agent {config.tie.target!r} in this instance")
+
+
 def _builtin_report(run: negatives.ScriptedRun) -> tuple[Transcript, dict]:
     """The transcript and extras of a ``play --builtin`` report of ``run``."""
     allocation, transcript = run.execute()
@@ -278,8 +285,7 @@ def cmd_play(args: argparse.Namespace) -> int:
         raise InputError("an instance file (or --builtin) is required")
     instance = _load_instance(args.instance)
     config = _game_config_from_args(args)
-    if config.tie.target is not None and config.tie.target not in instance.agent_ids:
-        raise InputError(f"no agent {config.tie.target!r} in this instance")
+    _check_tie_target(config, instance)
     assigned = {}
     for text in args.strategy or ():
         agent_id, _, spec_text = text.partition("=")
@@ -432,6 +438,7 @@ def _rebuild_alloc(doc: dict, instance: Instance, transcript, recorded: list[dic
 def cmd_verify(args: argparse.Namespace) -> int:
     doc = serialize.loads(_read_text(args.report))
     instance, transcript, recorded = serialize.report_from_dict(doc)
+    _check_tie_target(transcript.config, instance)
     try:
         check_transcript(transcript, instance)
     except RuleViolation as exc:

@@ -4,15 +4,23 @@ Every rational is serialized as an exact "p/q" string; nothing is ever
 rounded.  Documents carry a format tag and version and round-trip losslessly.
 Serialization output is deterministic (sorted keys, fixed indentation), so
 repeated runs with the same seeds produce byte-identical files.
+
+``dumps`` writes exactly the text of ``json.dumps(doc, sort_keys=True,
+indent=2, default=rational_str)`` and a newline.  Given an indent, json
+encodes every value in pure Python; ``dumps`` instead hands each container
+whose values are all plain scalars to json's C encoder in one call, with the
+newline and that level's indentation in the item separator, and places the
+two brackets itself.  Only the containers above those are walked in Python.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import chain, combinations
-from typing import Any, Mapping
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Mapping
 
 from .engine import GameConfig, Round, TieBreak, Transcript
 from .model import AgentSpec, FractionalPartition, Instance
@@ -49,21 +57,90 @@ def rational_str(x: Fraction | int) -> str:
 
 def parse_rational(text: str) -> Fraction:
     try:
-        return _fraction(str(text).strip())
+        return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}") from exc
 
 
-@lru_cache(maxsize=4096)
-def _fraction(text: str) -> Fraction:
-    # a transcript repeats a few bid strings thousands of times, and a parse
-    # through Fraction's regex costs far more than a lookup
-    return Fraction(text)
+def _rationals() -> Callable[[Any], Fraction]:
+    """``parse_rational`` that parses each distinct string once for as long as
+    the caller keeps it: a transcript repeats a few bid strings thousands of
+    times, and Fraction's regex costs far more than a lookup."""
+    parsed: dict[str, Fraction] = {}
+
+    def parse(text: Any) -> Fraction:
+        if not isinstance(text, str):
+            return parse_rational(text)
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse_rational(text)
+        return value
+
+    return parse
+
+
+# the values json writes as one token, the same with or without an indent;
+# a Fraction goes through ``default`` to its "p/q" string
+_SCALARS = frozenset({str, int, bool, float, type(None), Fraction})
+
+
+@cache
+def _flat_encoder(level: int) -> json.JSONEncoder:
+    """json's C encoder for the scalars of a container at nesting ``level``:
+    its item separator carries the newline and the items' indentation."""
+    return json.JSONEncoder(
+        sort_keys=True, separators=(",\n" + "  " * (level + 1), ": "), default=rational_str
+    )
+
+
+def _key(key: Any) -> str:
+    """An object key as json writes it; a key that is not a string is written
+    as json's own encoder writes it in a one-entry object."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    return _flat_encoder(0).encode({key: 0})[1:-len(": 0}")]
+
+
+def _write(value: Any, level: int, out: list[str]) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(..., indent=2)`` writes it
+    at nesting ``level``."""
+    if isinstance(value, dict):
+        values, brackets = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        values, brackets = value, "[]"
+    else:
+        values, brackets = (), ""
+    if not values:  # a scalar or an empty container: one token
+        out.append(_flat_encoder(level).encode(value))
+        return
+    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+    if _SCALARS.issuperset(map(type, values)):
+        # "[1,\n    2]" at level 1: only the brackets need their own lines
+        text = _flat_encoder(level).encode(value)
+        out += (brackets[0], inner, text[1:-1], outer, brackets[1])
+        return
+    if brackets == "{}":
+        entries = ((_key(key) + ": ", item) for key, item in sorted(value.items()))
+    else:
+        entries = (("", item) for item in value)
+    out.append(brackets[0])
+    separator = inner
+    for head, item in entries:
+        out += (separator, head)
+        _write(item, level + 1, out)
+        separator = "," + inner
+    out += (outer, brackets[1])
 
 
 def dumps(document: Mapping[str, Any]) -> str:
-    """``document`` as indented JSON with sorted keys, each Fraction as "p/q"."""
-    return json.dumps(document, sort_keys=True, indent=2, default=rational_str) + "\n"
+    """``document`` as indented JSON with sorted keys, each Fraction as "p/q":
+    byte for byte ``json.dumps(document, sort_keys=True, indent=2,
+    default=rational_str) + "\\n"``, written by json's C encoder one
+    container of scalars at a time (see the module docstring)."""
+    out: list[str] = []
+    _write(document, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def loads(text: str) -> dict:
@@ -155,30 +232,31 @@ def _all_typed(values: Any, kind: type, what: str) -> Any:
 
 
 def valuation_from_dict(doc: Mapping[str, Any]) -> ValuationOracle:
+    parse = _rationals()
     kind = doc.get("kind")
     if kind == "additive":
         values = _typed(doc, "values", dict)
-        return AdditiveValuation({e: parse_rational(x) for e, x in values.items()})
+        return AdditiveValuation({e: parse(x) for e, x in values.items()})
     if kind == "unit_demand":
         values = _typed(doc, "values", dict)
-        return UnitDemandValuation({e: parse_rational(x) for e, x in values.items()})
+        return UnitDemandValuation({e: parse(x) for e, x in values.items()})
     if kind == "xos":
         clauses = _all_typed(_typed(doc, "clauses", list), dict, "clause")
         return XOSValuation(
-            [{e: parse_rational(x) for e, x in clause.items()} for clause in clauses]
+            [{e: parse(x) for e, x in clause.items()} for clause in clauses]
         )
     if kind == "row_substitutes":
         rows = _all_typed(_typed(doc, "rows", list), list, "row")
         _all_typed(chain.from_iterable(rows), str, "row item")
         return RowSubstitutesValuation(
             rows,
-            [parse_rational(w) for w in _typed(doc, "weights", list)],
+            [parse(w) for w in _typed(doc, "weights", list)],
         )
     if kind == "coverage":
         covers = _typed(doc, "covers", dict)
         _all_typed(chain.from_iterable(_all_typed(covers.values(), list, "cover")), str, "covered element")
         return WeightedCoverageValuation(
-            {u: parse_rational(w) for u, w in _typed(doc, "universe", dict).items()},
+            {u: parse(w) for u, w in _typed(doc, "universe", dict).items()},
             {e: frozenset(us) for e, us in covers.items()},
         )
     if kind == "table":
@@ -203,6 +281,7 @@ def _table_from_dict(doc: Mapping[str, Any]) -> TableValuation:
     else:
         raise ParseError(f"'values' must be a list, not {type(values).__name__}")
     universe = frozenset(items)
+    parse = _rationals()
     table: dict[frozenset, Fraction] = {}
     for bundle, x in entries:
         key = frozenset(bundle)
@@ -210,7 +289,7 @@ def _table_from_dict(doc: Mapping[str, Any]) -> TableValuation:
             raise ParseError(f"table entry names items outside the table: {sorted(key - universe)}")
         if key in table:
             raise ParseError(f"table has two entries for {sorted(key)}")
-        table[key] = parse_rational(x)
+        table[key] = parse(x)
     if len(table) < 2 ** len(universe):
         # at most len(table) subsets are present, so this stops soon
         subsets = (
@@ -240,11 +319,12 @@ def instance_to_dict(instance: Instance) -> dict:
 
 def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
     _expect(doc, FORMAT_INSTANCE)
+    parse = _rationals()
     try:
         agents = tuple(
             AgentSpec(
                 a["id"],
-                parse_rational(a["entitlement"]),
+                parse(a["entitlement"]),
                 valuation_from_dict(_typed(a, "valuation", dict)),
             )
             for a in _all_typed(_typed(doc, "agents", list), dict, "agent")
@@ -297,6 +377,14 @@ def config_from_dict(doc: Mapping[str, Any]) -> GameConfig:
 
 
 def transcript_to_dict(transcript: Transcript) -> dict:
+    # a game hands the same few bid objects around for thousands of bids, so
+    # each object is written once; the transcript keeps every one alive
+    texts: dict[int, str] = {}
+
+    def text(bid: Fraction) -> str:
+        texts[id(bid)] = written = rational_str(bid)
+        return written
+
     return {
         "format": FORMAT_TRANSCRIPT,
         "version": VERSION,
@@ -305,10 +393,10 @@ def transcript_to_dict(transcript: Transcript) -> dict:
         "rounds": [
             {
                 "number": r.number,
-                "bids": {a: rational_str(b) for a, b in r.bids.items()},
+                "bids": {a: texts.get(id(b)) or text(b) for a, b in r.bids.items()},
                 "winner": r.winner,
                 "items": list(r.items),
-                "payment": rational_str(r.payment),
+                "payment": texts.get(id(r.payment)) or text(r.payment),
             }
             for r in transcript.rounds
         ],
@@ -320,14 +408,15 @@ def transcript_to_dict(transcript: Transcript) -> dict:
 
 def transcript_from_dict(doc: Mapping[str, Any]) -> Transcript:
     _expect(doc, FORMAT_TRANSCRIPT)
+    parse = _rationals()
     try:
         rounds = tuple(
             Round(
                 number=r["number"],
-                bids={a: parse_rational(b) for a, b in _typed(r, "bids", dict).items()},
+                bids={a: parse(b) for a, b in _typed(r, "bids", dict).items()},
                 winner=r["winner"],
                 items=tuple(_typed(r, "items", list)),
-                payment=parse_rational(r["payment"]),
+                payment=parse(r["payment"]),
             )
             for r in _typed(doc, "rounds", list)
         )

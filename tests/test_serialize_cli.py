@@ -55,7 +55,7 @@ def test_rational_strings():
         parse_rational("1.5x")
     with pytest.raises(ParseError):
         parse_rational("1/0")
-    for _ in range(2):  # parses are memoised; a second call answers the same
+    for _ in range(2):  # a second call answers the same
         assert parse_rational(" 3/6 ") == Fraction(1, 2)
         assert parse_rational(7) == Fraction(7)
         with pytest.raises(ParseError, match=r"^bad rational '1/0'$"):
@@ -119,6 +119,46 @@ def test_xos_report_bytes_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "9d517c19cb0ccda9703383120700b195ea090ce940256116d03211e0e5221992"
     )
+
+
+# strings with non-ASCII letters, quotes, backslashes and control characters
+json_text = st.text(st.characters() | st.sampled_from('"\\\n\t\x00\x1f\x7fé\u2028\U0001f600'), max_size=4)
+json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
+                | st.fractions() | st.floats() | json_text)
+
+
+def json_containers(children):
+    """Lists, tuples and objects of ``children``; an object's keys share one type."""
+    return (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(json_text, children, max_size=4)
+            | st.dictionaries(st.integers(-9, 9), children, max_size=3)
+            | st.dictionaries(st.booleans(), children, max_size=2)
+            | st.dictionaries(st.none(), children, max_size=1))
+
+
+json_trees = st.recursive(json_scalars, json_containers, max_leaves=24)
+
+
+@st.composite
+def deep_documents(draw):
+    """A tree nested at least four containers deep, empty ones included."""
+    doc = draw(json_trees)
+    for _ in range(draw(st.integers(4, 6))):
+        siblings = draw(st.lists(json_trees, max_size=2))
+        kind = draw(st.sampled_from(["list", "tuple", "object"]))
+        if kind == "object":
+            doc = {draw(json_text): doc, **{f"{k}~": v for k, v in zip("abc", siblings)}}
+        else:
+            doc = [*siblings[:1], doc, *siblings[1:]]
+            doc = tuple(doc) if kind == "tuple" else doc
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=deep_documents() | json_trees)
+def test_dumps_writes_json_dumps_text(doc):
+    # the pure-Python encoder json uses whenever an indent is given is the oracle
+    assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2, default=rational_str) + "\n"
 
 
 def test_config_round_trip():
@@ -658,6 +698,11 @@ def _play_report(tmp_path):
         (("guarantees", 1, "ratio"), MISSING, "bad guarantee entry: 'ratio'"),
         (("instance", "agents", 0), ["a0"], "every agent must be an object"),
         (("instance", "agents", 0, "valuation", "covers", "e00"), [{}], "every covered element must be a string"),
+        (("transcript", "rounds", 0, "bids", "a0"), "1/0", "bad transcript document: bad rational '1/0'"),
+        (("transcript", "rounds", 0, "bids", "a0"), "x", "bad transcript document: bad rational 'x'"),
+        (("transcript", "rounds", 0, "bids", "a0"), None, "bad transcript document: bad rational None"),
+        (("transcript", "rounds", 0, "bids", "a0"), [], "bad transcript document: bad rational []"),
+        (("transcript", "rounds", 0, "bids", "a0"), {}, "bad transcript document: bad rational {}"),
     ],
 )
 def test_cli_verify_malformed_report_is_input_error(tmp_path, capsys, path, value, message):
@@ -857,6 +902,22 @@ def test_transcript_wrongly_typed_fields_are_parse_errors(path, value):
     parent[path[-1]] = value
     with pytest.raises(ParseError, match=f"'{path[-1]}' must be"):
         transcript_from_dict(doc)
+
+
+@pytest.mark.parametrize("bid, read", [(" 1/2 ", Fraction(1, 2)), ("2/4", Fraction(1, 2)), (3, Fraction(3))])
+def test_transcript_bids_read_as_parse_rational_reads_them(bid, read):
+    # the reader parses each distinct bid string once per document, yet every
+    # spelling still reads as parse_rational reads it, repeated or not; the
+    # spellings it rejects are among test_cli_verify_malformed_report_is_input_error's
+    half = Fraction(1, 2)
+    inst = make_instance(["e0", "e1"], [(a, half, AdditiveValuation({"e0": 1, "e1": 1})) for a in "ab"])
+    _, transcript = run_game(inst, {a: GreedyMarginalBidder(inst.valuation(a)) for a in "ab"}, GameConfig())
+    doc = transcript_to_dict(transcript)
+    for r in doc["rounds"]:
+        r["bids"] = {"a": bid, "b": bid}
+        r["payment"] = bid
+    back = transcript_from_dict(doc)
+    assert [(r.bids, r.payment) for r in back.rounds] == [({"a": read, "b": read}, read)] * 2
 
 
 def test_writing_an_unknown_valuation_kind_is_a_type_error():
@@ -1132,6 +1193,18 @@ def test_cli_argument_validation(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("play", str(inst_path), "--tiebreak", "adversarial", "--target", "nobody") == 2
     assert "no agent 'nobody' in this instance" in capsys.readouterr().err
+    # verify holds a report's tie-break target to the same rule, whichever agent it named
+    report_path = tmp_path / "report.json"
+    run_cli("gen", "random", "--seed", "2", "--agents", "2", "--items", "4", "-o", str(inst_path))
+    for target in ("a1", "a0"):
+        assert run_cli("play", str(inst_path), "--tiebreak", "adversarial", "--target", target,
+                       "-o", str(report_path)) == 0
+        doc = json.loads(report_path.read_text())
+        doc["transcript"]["config"]["tie"]["target"] = "nobody"
+        report_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("verify", str(report_path)) == 2
+        assert capsys.readouterr().err == "error: no agent 'nobody' in this instance\n"
 
 
 def test_cli_shares_has_no_size_option(tmp_path, capsys):
