@@ -167,8 +167,14 @@ def lower_bound_diagnostics(
     """
     v = oracle if oracle is not None else instance.valuation(agent)
     b = entitlement if entitlement is not None else instance.entitlement(agent)
-    total = sum((w for _, w in partition.entries), Fraction(0))
-    if total != 1 or any(partition.coverage(e) > b for e in instance.items):
+    # the weight on each of the instance's items, summed in one pass
+    total, coverage = Fraction(0), dict.fromkeys(instance.items, Fraction(0))
+    for bundle, weight in partition.entries:
+        total += weight
+        for e in bundle:
+            if e in coverage:
+                coverage[e] += weight
+    if total != 1 or any(c > b for c in coverage.values()):
         raise ValueError("partition is not a valid weight system for this entitlement")
 
     # one forward replay: the opening state at start_round, then the window

@@ -21,7 +21,10 @@ Bids are compared as exact ints, never by building a ``Fraction`` per bid,
 in one pass over a round's bids (``_settle``, the one routine that decides
 the bid range and the top bid, for play and check alike): a bid against its
 budget by the sign of its numerator and one cross-multiplication, and
-against the running top bid by one more.
+against the running top bid by one more.  The ledger keeps every budget as
+a ``Fraction`` and as its (numerator, denominator) int pair, both written
+only by ``apply``, and each agent's leaving floor as an int pair fixed at
+the start, so a round's leaving test is one cross-multiplication too.
 """
 
 from __future__ import annotations
@@ -141,19 +144,23 @@ _ZERO = Fraction(0)
 
 
 def _settle(
-    bids: Mapping[str, Fraction], budgets: Mapping[str, Fraction]
+    bids: Mapping[str, Fraction],
+    budgets: Mapping[str, Fraction],
+    pairs: Mapping[str, tuple[int, int]],
 ) -> tuple[list[str], dict[str, Fraction]]:
     """The agents that hold the top bid, in bid order, and the agents whose
     bid lies outside ``[0, budget]``, in bid order, each mapped to her bid
     clamped there (the budget object itself when over it); the top bid is
     the top of the clamped bids.
 
-    Each bid's and budget's ``as_integer_ratio`` is read once: a bid is
-    clamped by its numerator's sign and one cross-multiplication with its
-    budget, and compared with the running top bid by one more.
+    ``pairs`` maps each bidder to her budget's ``as_integer_ratio()``, as
+    the ledger keeps it.  Each bid's ``as_integer_ratio`` is read once: a bid
+    is clamped by its numerator's sign and one cross-multiplication with its
+    budget pair, and compared with the running top bid by one more.
 
+    >>> budgets = dict.fromkeys("abcd", Fraction(1, 3))
     >>> _settle({"a": Fraction(1, 3), "b": -1, "c": 2, "d": Fraction(2, 6)},
-    ...         dict.fromkeys("abcd", Fraction(1, 3)))
+    ...         budgets, dict.fromkeys("abcd", (1, 3)))
     (['a', 'c', 'd'], {'b': Fraction(0, 1), 'c': Fraction(1, 3)})
     """
     pool: list[str] = []
@@ -165,10 +172,9 @@ def _settle(
             clamped[agent] = _ZERO
             n, d = 0, 1
         else:
-            budget = budgets[agent]
-            p, q = budget.as_integer_ratio()
+            p, q = pairs[agent]
             if n * q > p * d:
-                clamped[agent] = budget
+                clamped[agent] = budgets[agent]
                 n, d = p, q
         left, right = n * top_d, top_n * d
         if left > right:
@@ -184,9 +190,9 @@ class _TieBreaker:
         self.rng = random.Random(tie.seed) if tie.policy == "seeded" else None
 
     def choose(self, pool: list[str], round_number: int) -> str:
-        pool = sorted(pool)
         if len(pool) == 1:
             return pool[0]
+        pool = sorted(pool)
         policy = self.tie.policy
         if policy == "lexicographic":
             return pool[0]
@@ -210,15 +216,22 @@ class _Ledger:
     payment.  ``run_game`` turns it off: it builds each round from the clamped
     bids of the active agents and draws the winner from ``breaker`` itself (a
     seeded tie policy must be drawn once per tied round); it checks the picks.
+
+    ``budgets`` holds each budget as a ``Fraction`` and ``pairs`` as its
+    ``as_integer_ratio()``; ``apply``, the one place a budget changes, writes
+    both.  ``floors`` holds each agent's leaving floor as an int pair, built
+    from the ratios of rho and the entitlement.
     """
 
     def __init__(self, instance: Instance, config: GameConfig, check_bids: bool = True):
         self.config = config
         self.budgets = {a.id: a.entitlement for a in instance.agents}
+        self.pairs = {i: b.as_integer_ratio() for i, b in self.budgets.items()}
         # an agent leaves below her floor under a strict spend cap, at it otherwise:
         # spend passes rho * b exactly when the budget falls below (1 - rho) * b
         capped = config.mode == "altruistic"
-        self.floors = {a.id: (1 - config.rho) * a.entitlement if capped else 0 for a in instance.agents}
+        r, s = config.rho.as_integer_ratio() if capped else (1, 1)  # rho = 1: floor 0
+        self.floors = {i: ((s - r) * p, s * q) for i, (p, q) in self.pairs.items()}
         self.strict = capped and config.strict_threshold
         self.bundles: dict[str, frozenset[str]] = {i: frozenset() for i in self.budgets}
         # the active agents, in id order: a leaving agent is deleted
@@ -235,52 +248,52 @@ class _Ledger:
 
     def apply(self, rnd: Round) -> None:
         """Check ``rnd`` as the next round of this game, then play it."""
-        number = self.round + 1
-
-        def broken(rule: str, agent: str | None, detail: str) -> RuleViolation:
-            return RuleViolation(number, rule, agent, detail)
-
-        winner = rnd.winner
+        number, winner, picks = self.round + 1, rnd.winner, rnd.items
         if self.check_bids:
             if rnd.number != number:
-                raise broken("round number", None, f"numbered {rnd.number}")
+                raise RuleViolation(number, "round number", None, f"numbered {rnd.number}")
             if self.over:
-                raise broken("game over", None, "no item or no active agent is left")
+                raise RuleViolation(number, "game over", None, "no item or no active agent is left")
             if rnd.bids.keys() != self.active.keys():
                 odd = sorted(rnd.bids.keys() ^ self.active.keys())[0]
-                raise broken("bidders", odd, "the bidders must be exactly the active agents")
-            pool, clamped = _settle(rnd.bids, self.budgets)
+                raise RuleViolation(number, "bidders", odd, "the bidders must be exactly the active agents")
+            pool, clamped = _settle(rnd.bids, self.budgets, self.pairs)
             if clamped:
                 agent = next(iter(clamped))
-                raise broken("bid range", agent, f"bid {rnd.bids[agent]} outside [0, {self.budgets[agent]}]")
+                detail = f"bid {rnd.bids[agent]} outside [0, {self.budgets[agent]}]"
+                raise RuleViolation(number, "bid range", agent, detail)
             if winner not in pool:
-                raise broken("winner", winner, f"does not hold the top bid {rnd.bids[pool[0]]}")
+                raise RuleViolation(number, "winner", winner, f"does not hold the top bid {rnd.bids[pool[0]]}")
             if self.breaker.choose(pool, number) != winner:
-                raise broken("tie-break", winner, f"the {self.config.tie.policy} policy picks another")
-        picks = rnd.items
-        if not picks:
-            raise broken("picks", winner, "picked no item")
-        if len(set(picks)) != len(picks):
-            raise broken("picks", winner, "picked an item twice")
-        gone = [e for e in picks if e not in self.remaining]
-        if gone:
-            raise broken("picks", winner, f"picked unavailable items {gone}")
-        if self.config.mode != "multi_pick" and len(picks) != 1:
-            raise broken("picks", winner, f"picked {len(picks)} items outside multi_pick")
+                detail = f"the {self.config.tie.policy} policy picks another"
+                raise RuleViolation(number, "tie-break", winner, detail)
+        # a single pick still in play passes every pick rule
+        if len(picks) != 1 or picks[0] not in self.remaining:
+            if not picks:
+                raise RuleViolation(number, "picks", winner, "picked no item")
+            if len(set(picks)) != len(picks):
+                raise RuleViolation(number, "picks", winner, "picked an item twice")
+            gone = [e for e in picks if e not in self.remaining]
+            if gone:
+                raise RuleViolation(number, "picks", winner, f"picked unavailable items {gone}")
+            if self.config.mode != "multi_pick" and len(picks) != 1:
+                raise RuleViolation(number, "picks", winner, f"picked {len(picks)} items outside multi_pick")
         payment, budget = rnd.payment, self.budgets[winner]
         if self.check_bids:
-            bid = rnd.bids[winner]
-            if payment != (bid if len(picks) == 1 else bid * len(picks)):
-                raise broken("payment", winner, f"paid {payment} for {len(picks)} items at {bid}")
-            if payment > budget:
-                raise broken("budget", winner, f"paid {payment} from a budget of {budget}")
+            bid, k = rnd.bids[winner], len(picks)
+            if payment != (bid if k == 1 else bid * k):
+                raise RuleViolation(number, "payment", winner, f"paid {payment} for {k} items at {bid}")
+            (n, d), (p, q) = payment.as_integer_ratio(), self.pairs[winner]
+            if n * q > p * d:
+                raise RuleViolation(number, "budget", winner, f"paid {payment} from a budget of {budget}")
 
         self.budgets[winner] = budget = budget - payment
-        self.bundles[winner] = self.bundles[winner] | set(picks)
+        self.pairs[winner] = n, d = budget.as_integer_ratio()
+        self.bundles[winner] = self.bundles[winner].union(picks)
         for e in picks:
             del self.remaining[e]
-        floor = self.floors[winner]
-        if budget < floor if self.strict else budget <= floor:
+        p, q = self.floors[winner]
+        if n * q < p * d if self.strict else n * q <= p * d:
             del self.active[winner]
         self.round = number
 
@@ -324,7 +337,7 @@ def run_game(
         for agent_id in ledger.active:
             bid = strategies[agent_id].bid(state)
             bids[agent_id] = bid if type(bid) is Fraction else Fraction(bid)
-        pool, clamped = _settle(bids, ledger.budgets)
+        pool, clamped = _settle(bids, ledger.budgets, ledger.pairs)
         for agent_id, legal in clamped.items():
             violations.append(
                 f"round {round_number}: bid {bids[agent_id]} by {agent_id} clamped to {legal}"

@@ -30,7 +30,7 @@ from .strategies import (
     ConstantBidder,
     ProportionalBidder,
     ScriptedBidder,
-    still_remaining,
+    first_remaining,
 )
 from .valuations import (
     AdditiveValuation,
@@ -230,11 +230,9 @@ class XosSniperBidder(Strategy):
             self._targets = sorted(e for c in columns for e in self.column_items[c])
             self._held = held
             self._cursor = 0
-        remaining = state.remaining  # ascending, as the engine gives it
-        targets, i = self._targets, self._cursor
-        while i < len(targets) and not still_remaining(remaining, targets[i]):
-            i += 1
-        self._cursor = i
+        # the engine gives the remaining items in ascending order
+        targets = self._targets
+        self._cursor = i = first_remaining(targets, self._cursor, state.remaining)
         return targets[i] if i < len(targets) else None
 
     def bid(self, state: PublicState) -> Fraction:

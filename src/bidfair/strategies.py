@@ -15,7 +15,9 @@ a game needs a wider one: the allocator's games, which differ in one agent's
 guess, rank most bundles once in all.  The ranking is exact for every
 valuation, and it truncates at a ceiling in ints, so a bidder that truncates
 its valuation queries its own oracle, whose cache outlives the game.  Gains
-are int pairs; a bid is capped at the budget by one rule, ``_capped``.
+are int pairs; a bid is capped at the budget by one rule, ``_capped``.  A
+cursor over a ranking moves to the first ranked item still in play in one
+call, ``first_remaining``, which the sniper of ``negatives`` shares.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .valuations import ValuationOracle, integer_keys
 
 RhoLike = Fraction | int | None
 
+_ZERO = Fraction(0)
+
 
 def default_rho(entitlement: Fraction) -> Fraction:
     """Guarantee-optimal aggressiveness for a budget-share entitlement: 1/(3-2b)."""
@@ -39,10 +43,18 @@ def default_rho(entitlement: Fraction) -> Fraction:
     return Fraction(q, 3 * q - 2 * p)
 
 
-def still_remaining(remaining: Sequence[str], item: str) -> bool:
-    """Whether ``item`` is in ``remaining``, which is in ascending order."""
-    i = bisect_left(remaining, item)
-    return i < len(remaining) and remaining[i] == item
+def first_remaining(items: Sequence[str], start: int, remaining: Sequence[str]) -> int:
+    """The index of the first of ``items[start:]`` in ``remaining``, which is
+    in ascending order, or ``len(items)`` when none is: one call advances a
+    cursor over items that only leave ``remaining``."""
+    i, n = start, len(items)
+    while i < n:
+        item = items[i]
+        j = bisect_left(remaining, item)
+        if j < len(remaining) and remaining[j] == item:
+            break
+        i += 1
+    return i
 
 
 class _Ranked(NamedTuple):
@@ -129,9 +141,8 @@ class _MarginalRanking:
         as the engine gives it."""
         if held is not self._held and held != self._held:
             self._rank(held, remaining)
-        items, i = self._items, self._cursor
-        while i < len(items) and not still_remaining(remaining, items[i]):
-            i += 1
+        items = self._items
+        i = first_remaining(items, self._cursor, remaining)
         if i != self._cursor:
             self._move(i)
         return items[i] if i < len(items) else None
@@ -230,21 +241,21 @@ class ProportionalBidder(Strategy):
         self._last: tuple[tuple[int, int] | None, Fraction | None, Fraction] = (None, None, Fraction(0))
 
     def _in_large_phase(self, remaining: Sequence[str]) -> bool:
-        if self._large_bound is not None:
-            # base + gain is the truncated value of the best remaining single item
-            ranking = self._ranking
-            ranking.advance(frozenset(), remaining)
-            (p, q), (g, h), (n, d) = ranking.base, ranking.gain, self._large_bound
-            if (p * h + g * q) * d > n * q * h:
-                return True
-            self._large_bound = None  # items only leave the game: the phase is over
+        """Whether a large item remains; call only while ``_large_bound`` is set."""
+        # base + gain is the truncated value of the best remaining single item
+        ranking = self._ranking
+        ranking.advance(frozenset(), remaining)
+        (p, q), (g, h), (n, d) = ranking.base, ranking.gain, self._large_bound
+        if (p * h + g * q) * d > n * q * h:
+            return True
+        self._large_bound = None  # items only leave the game: the phase is over
         return False
 
     def bid(self, state: PublicState) -> Fraction:
         if self._zero_share:
-            return Fraction(0)
+            return _ZERO
         budget = state.budgets[self.agent_id]
-        if self._in_large_phase(state.remaining):
+        if self._large_bound is not None and self._in_large_phase(state.remaining):
             return budget
         ranking = self._ranking
         ranking.advance(state.bundles[self.agent_id], state.remaining)
@@ -260,7 +271,7 @@ class ProportionalBidder(Strategy):
         return bid
 
     def pick(self, state: PublicState) -> Sequence[str]:
-        if self._in_large_phase(state.remaining):
+        if self._large_bound is not None and self._in_large_phase(state.remaining):
             # the most valuable single item: the ranking over the empty bundle
             item = self._ranking.advance(frozenset(), state.remaining)
             return [item]
@@ -314,13 +325,15 @@ class ScriptedBidder(Strategy):
         bids: Sequence[Fraction | int],
         picks: Sequence[Sequence[str] | str | None] | None = None,
     ) -> None:
-        self.bids = [Fraction(b) for b in bids]
+        # each bid clamped at 0, as an int pair for ``_capped``
+        self._bids = [max(Fraction(b), _ZERO).as_integer_ratio() for b in bids]
         self.picks = list(picks) if picks is not None else None
 
     def bid(self, state: PublicState) -> Fraction:
         r = state.round - 1
-        wanted = self.bids[r] if r < len(self.bids) else Fraction(0)
-        return min(max(wanted, Fraction(0)), state.budgets[self.agent_id])
+        if r >= len(self._bids):
+            return _ZERO
+        return _capped(*self._bids[r], state.budgets[self.agent_id])
 
     def pick(self, state: PublicState) -> Sequence[str]:
         r = state.round - 1
@@ -383,7 +396,8 @@ class RandomBidder(Strategy):
         self.rng = random.Random(seed)
 
     def bid(self, state: PublicState) -> Fraction:
-        return Fraction(self.rng.randint(0, 16), 16) * state.budgets[self.agent_id]
+        p, q = state.budgets[self.agent_id].as_integer_ratio()
+        return Fraction(self.rng.randint(0, 16) * p, 16 * q)
 
     def pick(self, state: PublicState) -> Sequence[str]:
         return [self.rng.choice(state.remaining)]

@@ -145,6 +145,12 @@ def test_diagnostics_reject_invalid_partition():
     overweight = FractionalPartition(((frozenset(["e1", "e2"]), Fraction(1)),))
     with pytest.raises(ValueError):
         lower_bound_diagnostics(tr, inst, "p", overweight)  # coverage 1 > 1/2
+    split = FractionalPartition(((frozenset(["e1"]), Fraction(1, 2)), (frozenset(["e1", "e2"]), Fraction(1, 2))))
+    with pytest.raises(ValueError):
+        lower_bound_diagnostics(tr, inst, "p", split)  # e1 covered 1/2 + 1/2 > 1/2
+    # an item outside the instance carries no coverage to check
+    outside = FractionalPartition(((frozenset(["e1", "x"]), Fraction(1, 2)), (frozenset(["e2"]), Fraction(1, 2))))
+    assert lower_bound_diagnostics(tr, inst, "p", outside).certified_total == 1
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from bidfair.negatives import (
     sylvester,
 )
 from bidfair.shares import mms_exact, verify_mms_partition
-from bidfair.strategies import still_remaining
 from bidfair.valuations import XOSValuation, is_submodular
 
 
@@ -187,7 +186,7 @@ class _RescanCheckedSniper(XosSniperBidder):
         target = super()._target(state)
         columns = {self.column_of[e] for e in state.bundles[self.victim]}
         rescan = min(
-            (e for c in columns for e in self.column_items[c] if still_remaining(state.remaining, e)),
+            (e for c in columns for e in self.column_items[c] if e in state.remaining),
             default=None,
         )
         assert target == rescan

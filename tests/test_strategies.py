@@ -21,6 +21,7 @@ from bidfair.strategies import (
     ZeroBidder,
     _MarginalRanking,
     default_rho,
+    first_remaining,
 )
 from bidfair.valuations import (
     AdditiveValuation,
@@ -469,6 +470,11 @@ def test_ceiling_ranking_matches_the_truncated_scan(case):
     for item, keep in moves + [(None, False)]:
         assert _best(ranking, held, remaining) == _best_marginal(truncated, held, remaining)
         assert Fraction(*ranking.base) == truncated.value(held)
+        # the cursor's one-call advance, from every start, against a set scan
+        ranked, in_play = ranking._items, set(remaining)
+        for start in range(len(ranked) + 1):
+            scan = next((i for i in range(start, len(ranked)) if ranked[i] in in_play), len(ranked))
+            assert first_remaining(ranked, start, remaining) == scan
         if item is None:
             break
         remaining.remove(item)
