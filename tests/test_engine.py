@@ -4,10 +4,12 @@ import dataclasses
 import hashlib
 from fractions import Fraction
 
+import corpus_helpers as ch
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bidfair import serialize
+from bidfair.analysis import guarantee_report
 from bidfair.engine import (
     MODES,
     GameConfig,
@@ -27,13 +29,17 @@ from bidfair.engine import (
 from bidfair.model import make_instance
 from bidfair.negatives import gen_xos_hard
 from bidfair.strategies import (
+    AltruisticProportionalBidder,
     ConstantBidder,
     GreedyMarginalBidder,
+    ProportionalBidder,
     RandomBidder,
     ScriptedBidder,
     ZeroBidder,
+    default_rho,
 )
 from bidfair.valuations import AdditiveValuation
+from bidfair.wrapper import MMS_GAME_RHO
 
 
 def two_agent_instance(items_values=None, b0=Fraction(1, 2)):
@@ -777,3 +783,79 @@ def test_transcripts_are_pinned(play, digest):
     _, tr = play()
     text = serialize.dumps(serialize.transcript_to_dict(tr))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class _PairPicker(ProportionalBidder):
+    """Proportional bidding that asks for a second item on every win, so a
+    multi_pick game pays for two items or is cut back to what it affords."""
+
+    def pick(self, state):
+        first = list(super().pick(state))
+        return first + [e for e in state.remaining if e not in first][:1]
+
+
+def _corpus_game_document(mode, idx, profile):
+    """A corpus game against the acceptance suite's opponents and tie policy
+    (profile % 4 picks the policy), as a report with its guarantee entry."""
+    inst = ch.instance(idx)
+    p_id = ch.designated_agent(idx, profile)
+    spec = inst.agent(p_id)
+    players = ch.opponents_for(idx, profile, p_id)
+    tie = ch.tie_for(idx, profile, p_id)
+    if mode == "altruistic":
+        share, target = ch.mms_of(idx, p_id).value, MMS_GAME_RHO
+        players[p_id] = AltruisticProportionalBidder(spec.valuation, spec.entitlement, share)
+        config = GameConfig(mode=mode, rho=MMS_GAME_RHO, tie=tie)
+    else:
+        share, target = ch.aps_of(idx, p_id).value, default_rho(spec.entitlement)
+        bidder = _PairPicker if mode == "multi_pick" else ProportionalBidder
+        players[p_id] = bidder(spec.valuation, spec.entitlement, share)
+        config = GameConfig(mode=mode, tie=tie)
+    allocation, tr = run_game(inst, players, config)
+    report = guarantee_report(inst, allocation, {p_id: share}, {p_id: target})
+    entries = [dataclasses.asdict(e) for e in report.entries]
+    return serialize.dumps(serialize.report_to_dict(inst, tr, entries))
+
+
+_CORPUS_GAME_DIGESTS = {
+    ("standard", 2, 0): "234cb3d78ec8643670bdd2081be26021d037f30f0727b8dd17c8acf97b430dd4",
+    ("standard", 9, 0): "0a6b69a7e1b459b12a15b1adc50345af3af7fa4409b0922b4de4e88560183b2e",
+    ("standard", 2, 1): "da603e325342c6fc888736e0e5203393209d1f24a327bdff7424f5a321c0fe1f",
+    ("standard", 9, 1): "302089b65c63a4f1f0c3fa74f705e6f096496564b62500d1b2ca3932b3e73320",
+    ("standard", 2, 2): "ae851495ab561c2989db2778b9d9c6aaea5ca705a159f2d7489c619956af47e1",
+    ("standard", 9, 2): "99847dd4ca0eb1fe4ad695c1a16e99a3944dea59cd7df79a207bab9993915a02",
+    ("standard", 2, 3): "a02c6e57d0d02d42f5431622e0d9fa7a9a2c91b865fbd80a88bfab6d79365fa6",
+    ("standard", 9, 3): "0bfdb91f0469c72775ace09d011fe2f41662cfbf83dba707de77a3d94d0c2764",
+    ("altruistic", 2, 0): "bc5afff58790f40f6537d601cda78e5c6e758cd94b11ab767ee889d0331298bf",
+    ("altruistic", 8, 0): "35b8d928b9e8a02b065781722d5686473ccda5da2fb3090f58c21ff4429a44af",
+    ("altruistic", 2, 1): "901db14709dde383fa960906d7e97e72e81b538dc78a77d66b774f2d586ebb72",
+    ("altruistic", 8, 1): "3b5c8133b485fc056e90441be9d1d5a4bd2f64d1718832299f1b185358db5df3",
+    ("altruistic", 2, 2): "8086de4ae175392401bc8f4baac23ca05a68bcf4ec582e59228e83ba094104f0",
+    ("altruistic", 8, 2): "af6e90f43efa4bf355ca645e9eed5102ef40f9e23f89c30ce7c41a8c55e81e27",
+    ("altruistic", 2, 3): "e8ab73316683537b4d07f226bc8f14e4736e9c4c085e5b440658952aef769a3f",
+    ("altruistic", 8, 3): "12e3f5cf02acb932ff1b4296550ab19a8cd69c06674a3d918736a1b5f08399a6",
+    ("multi_pick", 2, 0): "ad396887a8caa2504d61237fa83a5f8fe8c194b75ba893a1f8466eb21247602c",
+    ("multi_pick", 9, 0): "41cd1e7ae46001df4d54cc01a434f23c44b87b159e58023ca93e4c0fc96171ed",
+    ("multi_pick", 2, 1): "087fba5a2db0debeffd5050754b2884c9c95484aee64ef53da00a9fc65f279f4",
+    ("multi_pick", 9, 1): "b52a55c0a48a5d08eab82d3f1a3ff1de0a34aacbf45040a048b3814c2de3d79c",
+    ("multi_pick", 2, 2): "2455ebf5e2018fd910042e7a1244d262568bd18dfbc6af68b3d7752c5b6ba75e",
+    ("multi_pick", 9, 2): "c385a662e2440e24a666be2e34d8fd59fd5f00e3a2b614698c62924ef5725026",
+    ("multi_pick", 2, 3): "315a97548d862104af526ed9559dc8453f42fe7be11f98d74c92b9d8dccb15a0",
+    ("multi_pick", 9, 3): "bc899bdd1b8e0c76056dea695b31400ed41358f482dacf74fee2e9add3ea8984",
+}
+
+
+@pytest.mark.parametrize(
+    "mode, idx, profile",
+    [
+        pytest.param(mode, idx, profile, id=f"{mode}-{policy}-{idx}")
+        for mode, indices in (("standard", (2, 9)), ("altruistic", (2, 8)), ("multi_pick", (2, 9)))
+        for profile, policy in enumerate(("lexicographic", "adversarial", "seeded", "scripted"))
+        for idx in indices
+    ],
+)
+def test_corpus_games_are_pinned(mode, idx, profile):
+    # SHA-256 of each game's report, recorded before the ledger, the tie
+    # breaker and the bidders' set-up moved to int arithmetic
+    text = _corpus_game_document(mode, idx, profile)
+    assert hashlib.sha256(text.encode()).hexdigest() == _CORPUS_GAME_DIGESTS[mode, idx, profile]
