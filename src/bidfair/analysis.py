@@ -255,14 +255,20 @@ def guarantee_report(
 ) -> GuaranteeReport:
     """Exact pass/fail of bundle_value >= target * share per agent.
 
-    Agents with a nonpositive share pass vacuously.
+    Agents with a nonpositive share pass vacuously.  The test is one
+    cross-multiplication of the three values' int pairs.
     """
     entries = []
     for agent_id in sorted(shares):
-        share = Fraction(shares[agent_id])
+        share, target = shares[agent_id], targets[agent_id]
+        share = share if type(share) is Fraction else Fraction(share)
+        target = target if type(target) is Fraction else Fraction(target)
         value = instance.valuation(agent_id).value(allocation.get(agent_id, frozenset()))
-        target = Fraction(targets[agent_id])
-        ratio = value / share if share > 0 else None
-        passed = True if share <= 0 else value >= target * share
+        n, d = share.as_integer_ratio()
+        if n > 0:
+            (v, w), (t, u) = value.as_integer_ratio(), target.as_integer_ratio()
+            ratio, passed = Fraction(v * d, w * n), v * u * d >= t * n * w
+        else:
+            ratio, passed = None, True
         entries.append(AgentGuarantee(agent_id, share, value, target, ratio, passed))
     return GuaranteeReport(tuple(entries))

@@ -25,6 +25,14 @@ against the running top bid by one more.  The ledger keeps every budget as
 a ``Fraction`` and as its (numerator, denominator) int pair, both written
 only by ``apply``, and each agent's leaving floor as an int pair fixed at
 the start, so a round's leaving test is one cross-multiplication too.
+``apply`` computes the winner's new budget from her budget's and her
+payment's pairs and builds one ``Fraction`` of it; a free win changes no
+budget.
+
+Most games last a few rounds, so what a game costs once counts as much as
+what a round costs: ``run_game`` reads the ledger's dicts and its tie
+breaker once, and a seeded tie policy seeds its generator at the first tie
+it breaks, which draws exactly what a generator seeded up front would.
 """
 
 from __future__ import annotations
@@ -187,7 +195,9 @@ def _settle(
 class _TieBreaker:
     def __init__(self, tie: TieBreak):
         self.tie = tie
-        self.rng = random.Random(tie.seed) if tie.policy == "seeded" else None
+        # a seeded policy's generator, seeded at the first tie it breaks: only
+        # ties draw from it, so the draws are those of one made up front
+        self.rng: random.Random | None = None
 
     def choose(self, pool: list[str], round_number: int) -> str:
         if len(pool) == 1:
@@ -197,6 +207,8 @@ class _TieBreaker:
         if policy == "lexicographic":
             return pool[0]
         if policy == "seeded":
+            if self.rng is None:
+                self.rng = random.Random(self.tie.seed)
             return self.rng.choice(pool)
         if policy == "adversarial":
             others = [a for a in pool if a != self.tie.target]
@@ -225,17 +237,20 @@ class _Ledger:
 
     def __init__(self, instance: Instance, config: GameConfig, check_bids: bool = True):
         self.config = config
-        self.budgets = {a.id: a.entitlement for a in instance.agents}
-        self.pairs = {i: b.as_integer_ratio() for i, b in self.budgets.items()}
+        self.budgets = budgets = {a.id: a.entitlement for a in instance.agents}
+        self.pairs = pairs = {i: b.as_integer_ratio() for i, b in budgets.items()}
         # an agent leaves below her floor under a strict spend cap, at it otherwise:
         # spend passes rho * b exactly when the budget falls below (1 - rho) * b
-        capped = config.mode == "altruistic"
-        r, s = config.rho.as_integer_ratio() if capped else (1, 1)  # rho = 1: floor 0
-        self.floors = {i: ((s - r) * p, s * q) for i, (p, q) in self.pairs.items()}
-        self.strict = capped and config.strict_threshold
-        self.bundles: dict[str, frozenset[str]] = {i: frozenset() for i in self.budgets}
-        # the active agents, in id order: a leaving agent is deleted
-        self.active = dict.fromkeys(self.budgets)
+        if config.mode == "altruistic":
+            r, s = config.rho.as_integer_ratio()
+            self.floors = {i: ((s - r) * p, s * q) for i, (p, q) in pairs.items()}
+            self.strict = config.strict_threshold
+        else:  # rho = 1: floor 0
+            self.floors = dict.fromkeys(budgets, (0, 1))
+            self.strict = False
+        self.bundles: dict[str, frozenset[str]] = dict.fromkeys(budgets, frozenset())
+        # the active agents, in the instance's order: a leaving agent is deleted
+        self.active = dict.fromkeys(budgets)
         # the instance's items are sorted, and deleting keys keeps a dict's order
         self.remaining = dict.fromkeys(instance.items)
         self.round = 0
@@ -278,23 +293,26 @@ class _Ledger:
                 raise RuleViolation(number, "picks", winner, f"picked unavailable items {gone}")
             if self.config.mode != "multi_pick" and len(picks) != 1:
                 raise RuleViolation(number, "picks", winner, f"picked {len(picks)} items outside multi_pick")
-        payment, budget = rnd.payment, self.budgets[winner]
+        payment = rnd.payment
+        (n, d), (p, q) = payment.as_integer_ratio(), self.pairs[winner]
         if self.check_bids:
             bid, k = rnd.bids[winner], len(picks)
             if payment != (bid if k == 1 else bid * k):
                 raise RuleViolation(number, "payment", winner, f"paid {payment} for {k} items at {bid}")
-            (n, d), (p, q) = payment.as_integer_ratio(), self.pairs[winner]
             if n * q > p * d:
-                raise RuleViolation(number, "budget", winner, f"paid {payment} from a budget of {budget}")
+                detail = f"paid {payment} from a budget of {self.budgets[winner]}"
+                raise RuleViolation(number, "budget", winner, detail)
 
-        self.budgets[winner] = budget = budget - payment
-        self.pairs[winner] = n, d = budget.as_integer_ratio()
         self.bundles[winner] = self.bundles[winner].union(picks)
         for e in picks:
             del self.remaining[e]
-        p, q = self.floors[winner]
-        if n * q < p * d if self.strict else n * q <= p * d:
-            del self.active[winner]
+        # a free win leaves the budget, and so the agent's activity, as it was
+        if n:
+            self.budgets[winner] = budget = Fraction(p * d - n * q, q * d)
+            self.pairs[winner] = n, d = budget.as_integer_ratio()
+            p, q = self.floors[winner]
+            if n * q < p * d if self.strict else n * q <= p * d:
+                del self.active[winner]
         self.round = number
 
     def snapshot(self) -> GameState:
@@ -320,35 +338,40 @@ def run_game(
         strategies[agent_id].start(agent_id, instance, config)
 
     ledger = _Ledger(instance, config, check_bids=False)
+    # the ledger's dicts change in place, so the loop reads them once
+    budgets, pairs, bundles = ledger.budgets, ledger.pairs, ledger.bundles
+    active, remaining = ledger.active, ledger.remaining
+    choose, apply = ledger.breaker.choose, ledger.apply
+    multi_pick = config.mode == "multi_pick"
     history: list[Mapping[str, Fraction]] = []
     rounds: list[Round] = []
     violations: list[str] = []
 
-    while not ledger.over:
-        round_number = ledger.round + 1
+    while remaining and active:
+        round_number = len(rounds) + 1
         state = PublicState(
             round=round_number,
-            remaining=tuple(ledger.remaining),
-            budgets=dict(ledger.budgets),
-            bundles=dict(ledger.bundles),
+            remaining=tuple(remaining),
+            budgets=dict(budgets),
+            bundles=dict(bundles),
             bid_history=tuple(history),
         )
         bids: dict[str, Fraction] = {}
-        for agent_id in ledger.active:
+        for agent_id in active:
             bid = strategies[agent_id].bid(state)
             bids[agent_id] = bid if type(bid) is Fraction else Fraction(bid)
-        pool, clamped = _settle(bids, ledger.budgets, ledger.pairs)
+        pool, clamped = _settle(bids, budgets, pairs)
         for agent_id, legal in clamped.items():
             violations.append(
                 f"round {round_number}: bid {bids[agent_id]} by {agent_id} clamped to {legal}"
             )
             bids[agent_id] = legal
-        winner = ledger.breaker.choose(pool, round_number)
+        winner = choose(pool, round_number)
 
         picks = tuple(strategies[winner].pick(state))
         bid = bids[winner]
-        if config.mode == "multi_pick" and bid > 0:
-            affordable = int(ledger.budgets[winner] / bid)
+        if multi_pick and bid > 0:
+            affordable = int(budgets[winner] / bid)
             if len(picks) > affordable:
                 violations.append(
                     f"round {round_number}: {winner} afforded only {affordable} picks"
@@ -356,19 +379,19 @@ def run_game(
                 picks = picks[:affordable]
 
         rnd = Round(round_number, bids, winner, picks, bid if len(picks) == 1 else bid * len(picks))
-        ledger.apply(rnd)
+        apply(rnd)
         history.append(dict(bids))
         rounds.append(rnd)
 
     transcript = Transcript(
         config=config,
         rounds=tuple(rounds),
-        allocation=dict(ledger.bundles),
+        allocation=dict(bundles),
         agent_ids=ids,
-        unallocated=tuple(ledger.remaining),
+        unallocated=tuple(remaining),
         violations=tuple(violations),
     )
-    return dict(ledger.bundles), transcript
+    return dict(bundles), transcript
 
 
 def state_after(instance: Instance, transcript: Transcript, upto: int) -> GameState:

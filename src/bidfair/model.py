@@ -35,9 +35,13 @@ class Instance:
         object.__setattr__(self, "items", tuple(sorted(self.items)))
         if len(set(self.items)) != len(self.items):
             raise ValueError("duplicate item ids")
-        ids = [a.id for a in self.agents]
-        if len(set(ids)) != len(ids):
+        # the id tuple and the id -> spec index: plain attributes, not fields,
+        # so equality, repr and hashing see only the items and the agents
+        by_id = {a.id: a for a in self.agents}
+        if len(by_id) != len(self.agents):
             raise ValueError("duplicate agent ids")
+        object.__setattr__(self, "_ids", tuple(by_id))
+        object.__setattr__(self, "_by_id", by_id)
         if not self.agents:
             raise ValueError("instance needs at least one agent")
         for a in self.agents:
@@ -53,13 +57,13 @@ class Instance:
 
     @property
     def agent_ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.agents)
+        return self._ids
 
     def agent(self, agent_id: str) -> AgentSpec:
-        for a in self.agents:
-            if a.id == agent_id:
-                return a
-        raise KeyError(f"no agent {agent_id!r}")
+        spec = self._by_id.get(agent_id)
+        if spec is None:
+            raise KeyError(f"no agent {agent_id!r}")
+        return spec
 
     def entitlement(self, agent_id: str) -> Fraction:
         return self.agent(agent_id).entitlement

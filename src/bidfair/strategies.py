@@ -18,6 +18,11 @@ its valuation queries its own oracle, whose cache outlives the game.  Gains
 are int pairs; a bid is capped at the budget by one rule, ``_capped``.  A
 cursor over a ranking moves to the first ranked item still in play in one
 call, ``first_remaining``, which the sniper of ``negatives`` shares.
+
+A bidder is built for every game, and most games are short, so set-up works
+in ints too: ``ProportionalBidder`` checks its share and rho and derives its
+bounds from their int pairs, wrapping no ``Fraction`` twice, and
+``ScriptedBidder`` clamps its script at 0 by each bid's numerator.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .valuations import ValuationOracle, integer_keys
 RhoLike = Fraction | int | None
 
 _ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
 
 
 def default_rho(entitlement: Fraction) -> Fraction:
@@ -125,7 +131,12 @@ class _MarginalRanking:
     def __init__(self, valuation: ValuationOracle, ceiling: Fraction | None = None) -> None:
         self.valuation = valuation
         self._ceiling = None if ceiling is None else ceiling.as_integer_ratio()
-        self._table: dict[frozenset[str], _Ranked] = _RANKINGS.setdefault(valuation, {})
+        # ``setdefault`` would make a weak reference with a callback on every
+        # call; ``get`` reuses the oracle's plain one
+        table = _RANKINGS.get(valuation)
+        if table is None:
+            table = _RANKINGS[valuation] = {}
+        self._table: dict[frozenset[str], _Ranked] = table
         self._held: frozenset[str] | None = None
         self.base = (0, 1)  # v(held), truncated at the ceiling
         self._ranked = _UNRANKED
@@ -220,25 +231,28 @@ class ProportionalBidder(Strategy):
     ) -> None:
         self.entitlement = entitlement if type(entitlement) is Fraction else Fraction(entitlement)
         self.share = share if type(share) is Fraction else Fraction(share)
-        if self.share < 0:
+        p, q = self.entitlement.as_integer_ratio()
+        n, d = self.share.as_integer_ratio()
+        if n < 0:
             raise ValueError("share must be nonnegative")
-        self.rho = default_rho(self.entitlement) if rho is None else Fraction(rho)
-        if self.rho <= 0:
+        if rho is None:
+            rho = default_rho(self.entitlement)
+        self.rho = rho if type(rho) is Fraction else Fraction(rho)
+        r, s = self.rho.as_integer_ratio()
+        if r <= 0:
             raise ValueError("rho must be positive")
         self.valuation = valuation
         self.budget_capped_early = False
-        self._zero_share = self.share == 0
-        self._ranking = _MarginalRanking(valuation, None if self._zero_share else self.share)
-        r, s = self.rho.as_integer_ratio()
-        n, d = self.share.as_integer_ratio()
+        self._zero_share = n == 0
+        self._ranking = _MarginalRanking(valuation, None if n == 0 else self.share)
         # 2*rho*share while a large item may remain; None once none can, as when
         # the share is 0 or 2*rho >= 1 (a truncated value is at most the share)
         self._large_bound = (2 * r * n, s * d) if n > 0 and 2 * r < s else None
+        self._rho_share = (r * n, s * d)
         if n > 0:  # 1/(2 rho) * b / share
-            p, q = self.entitlement.as_integer_ratio()
             self._coefficient = (s * p * d, 2 * r * q * n)
         # the last (gain, budget, bid): the bid is a function of the other two
-        self._last: tuple[tuple[int, int] | None, Fraction | None, Fraction] = (None, None, Fraction(0))
+        self._last: tuple[tuple[int, int] | None, Fraction | None, Fraction] = (None, None, _ZERO)
 
     def _in_large_phase(self, remaining: Sequence[str]) -> bool:
         """Whether a large item remains; call only while ``_large_bound`` is set."""
@@ -265,8 +279,10 @@ class ProportionalBidder(Strategy):
             return last_bid
         (g, h), (c, e) = gain, self._coefficient
         bid = _capped(c * g, e * h, budget)
-        if bid is budget and Fraction(*ranking.base) < self.rho * self.share:
-            self.budget_capped_early = True
+        if bid is budget:
+            (p, q), (n, d) = ranking.base, self._rho_share
+            if p * d < n * q:  # the held value is below rho*share
+                self.budget_capped_early = True
         self._last = (gain, budget, bid)
         return bid
 
@@ -294,7 +310,7 @@ class AltruisticProportionalBidder(ProportionalBidder):
         entitlement: Fraction | int,
         share: Fraction | int,
     ) -> None:
-        super().__init__(valuation, entitlement, share, Fraction(1, 2))
+        super().__init__(valuation, entitlement, share, _HALF)
 
 
 class UnitDemandFullBudgetBidder(Strategy):
@@ -325,8 +341,9 @@ class ScriptedBidder(Strategy):
         bids: Sequence[Fraction | int],
         picks: Sequence[Sequence[str] | str | None] | None = None,
     ) -> None:
-        # each bid clamped at 0, as an int pair for ``_capped``
-        self._bids = [max(Fraction(b), _ZERO).as_integer_ratio() for b in bids]
+        # each bid clamped at 0 by its numerator's sign, as an int pair for ``_capped``
+        pairs = ((b if type(b) is Fraction else Fraction(b)).as_integer_ratio() for b in bids)
+        self._bids = [(n, d) if n > 0 else (0, 1) for n, d in pairs]
         self.picks = list(picks) if picks is not None else None
 
     def bid(self, state: PublicState) -> Fraction:
@@ -351,7 +368,8 @@ class ConstantBidder(Strategy):
     """Bids a constant amount (clamped to budget); picks canonically first item."""
 
     def __init__(self, amount: Fraction | int) -> None:
-        self.amount = Fraction(amount)
+        self.amount = amount if type(amount) is Fraction else Fraction(amount)
+        self._pair = self.amount.as_integer_ratio()
         # the last (budget, bid): a budget changes only on a win
         self._last: tuple[Fraction | None, Fraction] = (None, self.amount)
 
@@ -359,7 +377,8 @@ class ConstantBidder(Strategy):
         budget = state.budgets[self.agent_id]
         last_budget, bid = self._last
         if budget is not last_budget:
-            bid = min(self.amount, budget)
+            (n, d), (p, q) = self._pair, budget.as_integer_ratio()
+            bid = budget if n * q > p * d else self.amount  # the amount, capped at the budget
             self._last = (budget, bid)
         return bid
 

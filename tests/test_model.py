@@ -1,5 +1,6 @@
 """Instance construction, reduction, and residual renormalization."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -45,6 +46,30 @@ def test_duplicate_ids_rejected():
             ["e1"],
             [("a", Fraction(1, 2), AdditiveValuation({})), ("a", Fraction(1, 2), AdditiveValuation({}))],
         )
+    third, v = Fraction(1, 3), AdditiveValuation({})
+    with pytest.raises(ValueError, match="duplicate agent ids"):
+        make_instance(["e1"], [("a", third, v), ("b", third, v), ("a", third, v)])
+
+
+def test_agent_lookups_by_id():
+    v = [AdditiveValuation({"e1": k}) for k in range(3)]
+    shares = [("c", Fraction(1, 2)), ("a", Fraction(1, 3)), ("b", Fraction(1, 6))]
+    inst = make_instance(["e1"], [(i, b, v[k]) for k, (i, b) in enumerate(shares)])
+    assert inst.agent_ids == ("c", "a", "b")  # agent order, not sorted
+    assert inst.agent_ids is inst.agent_ids
+    for spec in inst.agents:
+        assert inst.agent(spec.id) is spec
+        assert inst.entitlement(spec.id) == spec.entitlement
+        assert inst.valuation(spec.id) is spec.valuation
+    for lookup in (inst.agent, inst.entitlement, inst.valuation):
+        with pytest.raises(KeyError) as caught:
+            lookup("nobody")
+        assert caught.value.args == ("no agent 'nobody'",)
+    # the index is no field: equality, hashing and repr see items and agents only
+    twin = make_instance(["e1"], [(a.id, a.entitlement, a.valuation) for a in inst.agents])
+    assert twin == inst and hash(twin) == hash(inst) and repr(twin) == repr(inst)
+    assert [f.name for f in dataclasses.fields(inst)] == ["items", "agents"]
+    assert "_by_id" not in repr(inst)
 
 
 def test_items_canonically_sorted():
