@@ -9,6 +9,12 @@ infeasibility certificate is a nonnegative combination of the rows whose
 variable coefficients are all nonnegative while its constant is negative
 (or zero with positive weight on the strict row) - an explicit contradiction.
 
+The system speaks of one game only: infeasibility at (z, n) bounds a game of
+n agents whose spend cap is 1/z, not a game under another cap.  At n = 2 the
+system is infeasible at z = 13/5, yet a game of two agents under the cap
+10/27 can end below 5/13 of the agent's MMS: she spends past 10/27 of her
+budget on one item and leaves.
+
 The transcript diagnostics compute the run quantities that drive the share
 guarantees: the certified lower bound L0 on the agent's value for everything,
 its surviving part Lf after opponents' wins, her held value, and the total

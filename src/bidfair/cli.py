@@ -6,7 +6,8 @@ Subcommands:
   play    run one bidding game and emit a re-verifiable run report
   alloc   guess-refinement allocation with per-agent guarantees
   verify  re-check a run report offline
-  lpcert  build and decide the guarantee-bound inequality system
+  lpcert  build and decide the guarantee-bound inequality system, whose
+          infeasibility at (z, n) bounds a game of n agents with spend cap 1/z
 
 Exit codes: 0 success / pass, 1 guarantee or verification failure,
 2 input error, 3 internal error or contract violation.
@@ -550,8 +551,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("report")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_lp = sub.add_parser("lpcert", help="decide the guarantee-bound inequality system")
-    p_lp.add_argument("--z", required=True, help="substituted target, as p/q")
+    lpcert_what = (
+        "decide the guarantee-bound inequality system; infeasibility at (z, n) "
+        "bounds a game of n agents whose spend cap is 1/z"
+    )
+    p_lp = sub.add_parser("lpcert", help=lpcert_what, description=lpcert_what)
+    p_lp.add_argument("--z", required=True, help="substituted target, as p/q; the game it speaks of caps spend at 1/z")
     p_lp.add_argument("--n", default="inf", help="agent count, or 'inf'")
     p_lp.add_argument("-o", "--output", default="-")
     p_lp.set_defaults(func=cmd_lpcert)

@@ -33,6 +33,10 @@ Most games last a few rounds, so what a game costs once counts as much as
 what a round costs: ``run_game`` reads the ledger's dicts and its tie
 breaker once, and a seeded tie policy seeds its generator at the first tie
 it breaks, which draws exactly what a generator seeded up front would.
+A round of a large game costs about what it decides: ``run_game`` binds
+each bidder's ``bid`` once per game, keeps each round's bids once (the
+history a strategy sees holds read-only views of the rounds' own bid dicts),
+and breaks a lexicographic or adversarial tie by a minimum, not a sort.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .model import Allocation, GameState, Instance
@@ -202,17 +207,18 @@ class _TieBreaker:
     def choose(self, pool: list[str], round_number: int) -> str:
         if len(pool) == 1:
             return pool[0]
-        pool = sorted(pool)
         policy = self.tie.policy
         if policy == "lexicographic":
-            return pool[0]
+            return min(pool)
+        if policy == "adversarial":
+            # the pool's agents are distinct, so a pool of two or more holds another
+            least, target = min(pool), self.tie.target
+            return least if least != target else min(a for a in pool if a != target)
+        pool = sorted(pool)
         if policy == "seeded":
             if self.rng is None:
                 self.rng = random.Random(self.tie.seed)
             return self.rng.choice(pool)
-        if policy == "adversarial":
-            others = [a for a in pool if a != self.tie.target]
-            return others[0] if others else pool[0]
         prefs = self.tie.prefs[round_number - 1] if round_number <= len(self.tie.prefs) else ()
         for preferred in prefs:
             if preferred in pool:
@@ -336,6 +342,7 @@ def run_game(
         raise ValueError("need exactly one strategy per agent")
     for agent_id in ids:
         strategies[agent_id].start(agent_id, instance, config)
+    bid_of = {agent_id: strategies[agent_id].bid for agent_id in ids}
 
     ledger = _Ledger(instance, config, check_bids=False)
     # the ledger's dicts change in place, so the loop reads them once
@@ -358,7 +365,7 @@ def run_game(
         )
         bids: dict[str, Fraction] = {}
         for agent_id in active:
-            bid = strategies[agent_id].bid(state)
+            bid = bid_of[agent_id](state)
             bids[agent_id] = bid if type(bid) is Fraction else Fraction(bid)
         pool, clamped = _settle(bids, budgets, pairs)
         for agent_id, legal in clamped.items():
@@ -380,7 +387,7 @@ def run_game(
 
         rnd = Round(round_number, bids, winner, picks, bid if len(picks) == 1 else bid * len(picks))
         apply(rnd)
-        history.append(dict(bids))
+        history.append(MappingProxyType(bids))
         rounds.append(rnd)
 
     transcript = Transcript(

@@ -19,7 +19,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -202,46 +202,74 @@ def gen_modified_negative(k: int) -> ScriptedRun:
 _ZERO = Fraction(0)
 
 
-class XosSniperBidder(Strategy):
-    """Reactive adversary: once the victim holds an item of some column, bid
-    everything until that column is exhausted, taking its items.
+class _ColumnPlan:
+    """The round's target of every sniper of one victim, worked out once.
 
-    The targets, the sorted items of the columns the victim holds, are
-    listed again only when her bundle changes.  Until then items only leave
-    the game, so the first target still remaining is found by a cursor that
-    only moves forward.
+    The target is the first remaining item, in ascending order, of a column
+    the victim holds an item of.  ``target`` answers it once per
+    ``PublicState`` (the last state and its answer are kept, and a sniper
+    reads them directly) and keeps the sorted targets of each bundle the
+    victim has held.  Neither depends on one game, so one plan serves game
+    after game of the snipers it was built for.  The column tables are built
+    at the first ``target`` call.
     """
 
     def __init__(self, victim: str, column_of: Mapping[str, int]) -> None:
         self.victim = victim
-        self.column_of = dict(column_of)
-        self.column_items: dict[int, list[str]] = {}
-        for e in sorted(self.column_of):
-            self.column_items.setdefault(self.column_of[e], []).append(e)
-        self._held: frozenset[str] | None = None
-        self._targets: list[str] = []
-        self._cursor = 0
+        self.column_of = column_of
+        self._state: PublicState | None = None
+        self._target: str | None = None
+        self._targets: dict[frozenset[str], list[str]] = {}
 
-    def _target(self, state: PublicState) -> str | None:
-        """The first remaining item of a column the victim holds an item of."""
+    @cached_property
+    def _column_items(self) -> dict[int, list[str]]:
+        column_items: dict[int, list[str]] = {}
+        for e in sorted(self.column_of):
+            column_items.setdefault(self.column_of[e], []).append(e)
+        return column_items
+
+    def target(self, state: PublicState) -> str | None:
+        """The round's target, or None when no column the victim holds has
+        an item left."""
+        if state is self._state:
+            return self._target
         held = state.bundles[self.victim]
-        if held is not self._held and held != self._held:
-            columns = {self.column_of[e] for e in held}
-            self._targets = sorted(e for c in columns for e in self.column_items[c])
-            self._held = held
-            self._cursor = 0
+        targets = self._targets.get(held)
+        if targets is None:
+            column_of, column_items = self.column_of, self._column_items
+            columns = {column_of[e] for e in held}
+            targets = self._targets[held] = sorted(e for c in columns for e in column_items[c])
         # the engine gives the remaining items in ascending order
-        targets = self._targets
-        self._cursor = i = first_remaining(targets, self._cursor, state.remaining)
-        return targets[i] if i < len(targets) else None
+        i = first_remaining(targets, 0, state.remaining)
+        self._state, self._target = state, targets[i] if i < len(targets) else None
+        return self._target
+
+
+class XosSniperBidder(Strategy):
+    """Reactive adversary: once the victim holds an item of some column, bid
+    everything until that column is exhausted, taking its items.
+
+    The snipers of one run share one ``_ColumnPlan``, which finds the round's
+    target once for all of them; without ``plan`` a sniper makes its own.
+    """
+
+    def __init__(
+        self, victim: str, column_of: Mapping[str, int], plan: _ColumnPlan | None = None
+    ) -> None:
+        if plan is None:
+            plan = _ColumnPlan(victim, dict(column_of))
+        elif plan.victim != victim:
+            raise ValueError(f"the plan snipes for {plan.victim}, not {victim}")
+        self.plan = plan
 
     def bid(self, state: PublicState) -> Fraction:
-        if self._target(state) is None:
-            return _ZERO
-        return state.budgets[self.agent_id]
+        plan = self.plan
+        # the round's later snipers read the first one's answer without a call
+        target = plan._target if state is plan._state else plan.target(state)
+        return _ZERO if target is None else state.budgets[self.agent_id]
 
     def pick(self, state: PublicState) -> Sequence[str]:
-        target = self._target(state)
+        target = self.plan.target(state)
         return [state.remaining[0] if target is None else target]
 
 
@@ -250,9 +278,9 @@ def gen_xos_hard(n: int, k: int) -> ScriptedRun:
 
     Items form a k x n matrix and the designated agent values a bundle at its
     best column count.  Half the agents bid a constant on everything; the
-    rest snipe: as soon as she wins an item, they buy out that column.  Her
-    bundle meets every column at most once, so its value never exceeds 1,
-    while the column partition witnesses a share of k.
+    rest snipe, all following one plan: as soon as she wins an item, they
+    buy out that column.  Her bundle meets every column at most once, so its
+    value never exceeds 1, while the column partition witnesses a share of k.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -271,6 +299,7 @@ def gen_xos_hard(n: int, k: int) -> ScriptedRun:
         P_ID: partial(ProportionalBidder, valuation, b, Fraction(k))
     }
     constant = Fraction(1, 2 * n * k)
+    plan = _ColumnPlan(P_ID, column_of)
     for idx in range(n // 2):
         agent_id = f"t1_{idx:03d}"
         agents.append(AgentSpec(agent_id, b, AdditiveValuation({})))
@@ -278,7 +307,7 @@ def gen_xos_hard(n: int, k: int) -> ScriptedRun:
     for idx in range(n // 2 - 1):
         agent_id = f"t2_{idx:03d}"
         agents.append(AgentSpec(agent_id, b, AdditiveValuation({})))
-        factories[agent_id] = partial(XosSniperBidder, P_ID, column_of)
+        factories[agent_id] = partial(XosSniperBidder, P_ID, column_of, plan)
 
     instance = Instance(items=tuple(items), agents=tuple(agents))
     config = GameConfig(mode="standard", tie=TieBreak(policy="adversarial", target=P_ID))

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import corpus_helpers as ch
 import pytest
 
 from bidfair.analysis import (
@@ -20,9 +21,24 @@ from bidfair.negatives import gen_random_submodular, gen_xos_hard
 from bidfair.shares import aps_exact
 from bidfair.strategies import ProportionalBidder, RandomBidder, ScriptedBidder, ZeroBidder
 from bidfair.valuations import AdditiveValuation, TruncatedValuation
+from bidfair.wrapper import MMS_GAME_RHO
 
 
 # ------------------------------------------------------------ LP system
+
+def test_the_system_bounds_only_a_game_capped_at_one_over_z():
+    # infeasibility at (13/5, 2) speaks of a spend cap of 5/13; corpus
+    # instance 258 under the cap 10/27 ends below 5/13 of its MMS
+    assert not check_feasible(build_theorem_system(Fraction(13, 5), 2)).feasible
+    inst, p_id, share, _, allocation, transcript = ch.play_altruistic(258, 0)
+    assert len(inst.agents) == 2 and transcript.config.rho == MMS_GAME_RHO == Fraction(10, 27)
+    ratio = inst.valuation(p_id).value(allocation[p_id]) / share
+    assert ratio == Fraction(3, 8) < Fraction(5, 13)
+    # the agent spends 3/16, past (10/27) * (1/2), and leaves
+    end = state_after(inst, transcript, len(transcript.rounds))
+    assert inst.entitlement(p_id) - end.budgets[p_id] == Fraction(3, 16) > MMS_GAME_RHO / 2
+    assert not end.active[p_id]
+
 
 def test_substituted_coefficients_at_z_27_over_10():
     system = build_theorem_system(Fraction(27, 10), 10)

@@ -20,6 +20,7 @@ from bidfair.engine import (
     TieBreak,
     Transcript,
     _Ledger,
+    _TieBreaker,
     _settle,
     check_transcript,
     run_game,
@@ -326,6 +327,44 @@ def test_strategies_observe_previous_bids_and_budgets():
     assert tr.rounds[0].winner == "a0"
     assert tr.rounds[1].bids["a1"] == Fraction(1, 10) + Fraction(1, 100)
     assert tr.rounds[1].winner == "a1"
+
+
+def test_history_entries_are_read_only():
+    # every bidder sees the same stored bids of a round, so none may change them
+    class Scribbler(ZeroBidder):
+        def bid(self, state):
+            if state.bid_history:
+                state.bid_history[-1]["a0"] = Fraction(1)
+            return Fraction(0)
+
+    inst = two_agent_instance()
+    with pytest.raises(TypeError):
+        run_game(inst, {"a0": ZeroBidder(), "a1": Scribbler()}, GameConfig())
+
+
+def _sorted_pool_choice(tie, pool):
+    """The tie rule as a sort states it: the first of the sorted pool, or
+    under the adversarial policy the first that is not the target."""
+    pool = sorted(pool)
+    others = [a for a in pool if a != tie.target]
+    return others[0] if tie.policy == "adversarial" and others else pool[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pool=st.lists(st.sampled_from([f"a{i}" for i in range(12)]), min_size=1, unique=True),
+    case=st.sampled_from(["present", "absent", "smallest"]),
+    data=st.data(),
+)
+def test_a_minimum_breaks_ties_as_the_sorted_pool_does(pool, case, data):
+    if case == "present":
+        target = data.draw(st.sampled_from(pool))
+    elif case == "absent":
+        target = data.draw(st.sampled_from([f"b{i}" for i in range(3)] + ["a", "z"]))
+    else:
+        target = min(pool)
+    for tie in (TieBreak(), TieBreak(policy="adversarial", target=target)):
+        assert _TieBreaker(tie).choose(list(pool), 1) == _sorted_pool_choice(tie, pool)
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,6 +11,7 @@ from bidfair.engine import PublicState, run_game, verify_transcript
 from bidfair.negatives import (
     STAGED,
     XosSniperBidder,
+    _ColumnPlan,
     altruistic_negative_ratio,
     gen_altruistic_negative,
     gen_modified_negative,
@@ -177,49 +178,81 @@ def test_cross_column_hard_run():
     assert verify_mms_partition(tuple(columns), v, run.instance.items, 2)
 
 
-class _RescanCheckedSniper(XosSniperBidder):
-    """A sniper whose memoised target is checked against a full rescan."""
+class _RescanCheckedPlan(_ColumnPlan):
+    """A shared sniper plan whose every answer is checked against a full
+    rescan of the remaining items; it records the rounds of the states it
+    worked a target out for."""
 
-    checks = 0
+    def __init__(self, victim, column_of):
+        super().__init__(victim, column_of)
+        self.checks = 0
+        self.rounds = []
 
-    def _target(self, state):
-        target = super()._target(state)
+    def target(self, state):
+        fresh = state is not self._state
+        target = super().target(state)
         columns = {self.column_of[e] for e in state.bundles[self.victim]}
-        rescan = min(
-            (e for c in columns for e in self.column_items[c] if e in state.remaining),
-            default=None,
-        )
+        rescan = min((e for e in state.remaining if self.column_of[e] in columns), default=None)
         assert target == rescan
         self.checks += 1
+        if fresh:
+            self.rounds.append(state.round)
         return target
 
 
 @pytest.mark.parametrize("n, k", [(16, 2), (36, 3)])
 def test_sniper_memo_equals_the_rescan(n, k):
     run = gen_xos_hard(n, k)
+    column_of = {e: int(e[-3:]) for e in run.instance.items}
+    plan = _RescanCheckedPlan("p", column_of)
     strategies = {
-        a: _RescanCheckedSniper(*make.args) if getattr(make, "func", None) is XosSniperBidder else make()
+        a: XosSniperBidder("p", column_of, plan) if a.startswith("t2_") else make()
         for a, make in run.strategy_factories.items()
     }
     _, checked = run_game(run.instance, strategies, run.config)
-    snipers = [s for s in strategies.values() if isinstance(s, _RescanCheckedSniper)]
-    assert sum(s.checks for s in snipers) >= len(checked.rounds)
+    # one target a round, worked out and checked in every round a sniper is
+    # active in; the round's later snipers read that checked answer
+    sniped = [r.number for r in checked.rounds if any(a.startswith("t2_") for a in r.bids)]
+    assert plan.rounds == sniped and plan.checks >= len(sniped) > 0
     assert checked == run.execute()[1]
 
 
 def test_sniper_memo_equals_the_rescan_on_random_walks():
-    # the victim gains items of any column, earlier ones too, as items leave
+    # the victim gains items of any column, earlier ones too, as items leave;
+    # one plan serves all walks, as it serves game after game
     column_of = {f"r{i:02d}c{j:03d}": j for i in range(1, 4) for j in range(1, 7)}
+    plan = _RescanCheckedPlan("p", column_of)
     for seed in range(20):
         rng = random.Random(seed)
-        sniper = _RescanCheckedSniper("p", column_of)
         remaining, held = sorted(column_of), frozenset()
         while remaining:
             item = remaining.pop(rng.randrange(len(remaining)))
             if rng.random() < 0.5:
                 held = held | {item}
-            sniper._target(PublicState(0, tuple(remaining), {}, {"p": held}, ()))
-        assert sniper.checks == len(column_of)
+            state = PublicState(0, tuple(remaining), {}, {"p": held}, ())
+            assert plan.target(state) == plan.target(state)
+    assert plan.checks == 2 * 20 * len(column_of)
+    assert len(plan.rounds) == 20 * len(column_of)
+
+
+def test_snipers_of_a_run_share_one_plan():
+    run = gen_xos_hard(16, 2)
+    snipers = [make() for a, make in run.strategy_factories.items() if a.startswith("t2_")]
+    assert len(snipers) == 7
+    assert all(type(s) is XosSniperBidder and s.plan is snipers[0].plan for s in snipers)
+    # a sniper built without a plan makes its own
+    column_of = snipers[0].plan.column_of
+    alone = XosSniperBidder("p", column_of)
+    assert alone.plan is not snipers[0].plan and alone.plan.victim == "p"
+    with pytest.raises(ValueError, match="snipes for p"):
+        XosSniperBidder("q", column_of, snipers[0].plan)
+
+
+@pytest.mark.parametrize("n, k", [(16, 2), (36, 3)])
+def test_games_in_a_row_share_a_plan_safely(n, k):
+    run = gen_xos_hard(n, k)
+    first, second = run.execute()[1], run.execute()[1]
+    assert first == second == gen_xos_hard(n, k).execute()[1]
 
 
 def test_cross_column_valuation_small_scale_share():
