@@ -207,18 +207,17 @@ class _ColumnPlan:
 
     The target is the first remaining item, in ascending order, of a column
     the victim holds an item of.  ``target`` answers it once per
-    ``PublicState`` (the last state and its answer are kept, and a sniper
-    reads them directly) and keeps the sorted targets of each bundle the
-    victim has held.  Neither depends on one game, so one plan serves game
-    after game of the snipers it was built for.  The column tables are built
-    at the first ``target`` call.
+    ``PublicState`` (the last state and its answer are kept as one pair,
+    which a sniper reads directly) and keeps the sorted targets of each
+    bundle the victim has held.  Neither depends on one game, so one plan
+    serves game after game of the snipers it was built for.  The column
+    tables are built at the first ``target`` call.
     """
 
     def __init__(self, victim: str, column_of: Mapping[str, int]) -> None:
         self.victim = victim
         self.column_of = column_of
-        self._state: PublicState | None = None
-        self._target: str | None = None
+        self.last: tuple[PublicState | None, str | None] = (None, None)
         self._targets: dict[frozenset[str], list[str]] = {}
 
     @cached_property
@@ -231,8 +230,9 @@ class _ColumnPlan:
     def target(self, state: PublicState) -> str | None:
         """The round's target, or None when no column the victim holds has
         an item left."""
-        if state is self._state:
-            return self._target
+        last_state, last_target = self.last
+        if state is last_state:
+            return last_target
         held = state.bundles[self.victim]
         targets = self._targets.get(held)
         if targets is None:
@@ -241,8 +241,10 @@ class _ColumnPlan:
             targets = self._targets[held] = sorted(e for c in columns for e in column_items[c])
         # the engine gives the remaining items in ascending order
         i = first_remaining(targets, 0, state.remaining)
-        self._state, self._target = state, targets[i] if i < len(targets) else None
-        return self._target
+        target = targets[i] if i < len(targets) else None
+        # one store, so a reader never pairs a state with another's target
+        self.last = (state, target)
+        return target
 
 
 class XosSniperBidder(Strategy):
@@ -250,22 +252,17 @@ class XosSniperBidder(Strategy):
     everything until that column is exhausted, taking its items.
 
     The snipers of one run share one ``_ColumnPlan``, which finds the round's
-    target once for all of them; without ``plan`` a sniper makes its own.
+    target once for all of them and names the victim.
     """
 
-    def __init__(
-        self, victim: str, column_of: Mapping[str, int], plan: _ColumnPlan | None = None
-    ) -> None:
-        if plan is None:
-            plan = _ColumnPlan(victim, dict(column_of))
-        elif plan.victim != victim:
-            raise ValueError(f"the plan snipes for {plan.victim}, not {victim}")
+    def __init__(self, plan: _ColumnPlan) -> None:
         self.plan = plan
 
     def bid(self, state: PublicState) -> Fraction:
-        plan = self.plan
         # the round's later snipers read the first one's answer without a call
-        target = plan._target if state is plan._state else plan.target(state)
+        last_state, target = self.plan.last
+        if state is not last_state:
+            target = self.plan.target(state)
         return _ZERO if target is None else state.budgets[self.agent_id]
 
     def pick(self, state: PublicState) -> Sequence[str]:
@@ -307,7 +304,7 @@ def gen_xos_hard(n: int, k: int) -> ScriptedRun:
     for idx in range(n // 2 - 1):
         agent_id = f"t2_{idx:03d}"
         agents.append(AgentSpec(agent_id, b, AdditiveValuation({})))
-        factories[agent_id] = partial(XosSniperBidder, P_ID, column_of, plan)
+        factories[agent_id] = partial(XosSniperBidder, plan)
 
     instance = Instance(items=tuple(items), agents=tuple(agents))
     config = GameConfig(mode="standard", tie=TieBreak(policy="adversarial", target=P_ID))

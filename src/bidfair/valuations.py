@@ -169,9 +169,7 @@ class XOSValuation(ValuationOracle):
     item is indexed to the (clause, weight) terms it appears in, so a query
     costs one addition per term that the bundle's items carry, not one per
     clause and item: a clause that meets no item of S sums to 0 and can
-    only tie the floor of 0.  The weights are scaled once, at the first
-    evaluation, to integers over their common denominator, so a query sums
-    ints and builds a single Fraction.
+    only tie the floor of 0.
     """
 
     def __init__(self, clauses: Sequence[Mapping[str, Fraction | int]]) -> None:
@@ -179,23 +177,22 @@ class XOSValuation(ValuationOracle):
         if not clauses:
             raise ValueError("need at least one additive clause")
         self.clauses = [{e: Fraction(x) for e, x in c.items()} for c in clauses]
-
-    @cached_property
-    def _scaled(self) -> tuple[dict[str, list[tuple[int, int]]], int]:
-        scaled, common = _scale({(i, e): w for i, c in enumerate(self.clauses) for e, w in c.items()})
-        terms: dict[str, list[tuple[int, int]]] = {}
-        for (i, e), key in scaled.items():
-            terms.setdefault(e, []).append((i, key))
-        return terms, common
+        self._terms: dict[str, list[tuple[int, Fraction]]] = {}
+        for i, clause in enumerate(self.clauses):
+            for e, weight in clause.items():
+                self._terms.setdefault(e, []).append((i, weight))
 
     def _value(self, bundle: Bundle) -> Fraction:
-        scaled, common = self._scaled
-        totals: dict[int, int] = {}
+        totals: dict[int, Fraction] = {}
         for e in bundle:
-            for i, key in scaled.get(e, ()):
-                totals[i] = totals.get(i, 0) + key
-        best = max(totals.values(), default=0)
-        return Fraction(best if best > 0 else 0, common)
+            for i, weight in self._terms.get(e, ()):
+                total = totals.get(i)
+                totals[i] = weight if total is None else total + weight
+        best = Fraction(0)
+        for total in totals.values():
+            if total > best:
+                best = total
+        return best
 
 
 class RowSubstitutesValuation(ValuationOracle):

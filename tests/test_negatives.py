@@ -189,7 +189,7 @@ class _RescanCheckedPlan(_ColumnPlan):
         self.rounds = []
 
     def target(self, state):
-        fresh = state is not self._state
+        fresh = state is not self.last[0]
         target = super().target(state)
         columns = {self.column_of[e] for e in state.bundles[self.victim]}
         rescan = min((e for e in state.remaining if self.column_of[e] in columns), default=None)
@@ -206,7 +206,7 @@ def test_sniper_memo_equals_the_rescan(n, k):
     column_of = {e: int(e[-3:]) for e in run.instance.items}
     plan = _RescanCheckedPlan("p", column_of)
     strategies = {
-        a: XosSniperBidder("p", column_of, plan) if a.startswith("t2_") else make()
+        a: XosSniperBidder(plan) if a.startswith("t2_") else make()
         for a, make in run.strategy_factories.items()
     }
     _, checked = run_game(run.instance, strategies, run.config)
@@ -240,12 +240,7 @@ def test_snipers_of_a_run_share_one_plan():
     snipers = [make() for a, make in run.strategy_factories.items() if a.startswith("t2_")]
     assert len(snipers) == 7
     assert all(type(s) is XosSniperBidder and s.plan is snipers[0].plan for s in snipers)
-    # a sniper built without a plan makes its own
-    column_of = snipers[0].plan.column_of
-    alone = XosSniperBidder("p", column_of)
-    assert alone.plan is not snipers[0].plan and alone.plan.victim == "p"
-    with pytest.raises(ValueError, match="snipes for p"):
-        XosSniperBidder("q", column_of, snipers[0].plan)
+    assert snipers[0].plan.victim == run.agent
 
 
 @pytest.mark.parametrize("n, k", [(16, 2), (36, 3)])

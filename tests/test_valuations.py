@@ -170,34 +170,6 @@ def test_xos_value_is_the_best_clause_sum_or_zero(clauses, bundles):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(
-        st.dictionaries(
-            st.sampled_from(_XOS_ITEMS),
-            st.fractions(min_value=-3, max_value=3, max_denominator=12),
-            max_size=len(_XOS_ITEMS),
-        ),
-        max_size=4,
-    ),
-    st.sampled_from(_XOS_ITEMS),
-    st.fractions(max_value=Fraction(-1, 12), min_value=-3, max_denominator=12),
-    st.lists(st.frozensets(st.sampled_from(_XOS_ITEMS + ["z"])), min_size=1, max_size=8),
-)
-def test_xos_int_sums_are_the_fraction_sums(clauses, item, negative, bundles):
-    # the integer sums over the common denominator against plain Fraction
-    # sums, always with an empty clause, a negative weight and an item in no
-    # clause ("z"); the clauses stay the Fraction dicts they were given as
-    clauses = clauses + [{}, {item: negative}]
-    v = XOSValuation(clauses)
-    for bundle in bundles + [frozenset(), frozenset(["z"])]:
-        sums = [sum((c.get(e, 0) for e in bundle), Fraction(0)) for c in clauses]
-        got = v.value(bundle)
-        assert got == max(sums + [Fraction(0)]) and type(got) is Fraction
-    assert v.clauses == clauses
-    assert all(type(w) is Fraction for c in v.clauses for w in c.values())
-
-
-@settings(max_examples=300, deadline=None)
-@given(
     st.dictionaries(
         st.sampled_from(_XOS_ITEMS),
         st.fractions(min_value=-3, max_value=3, max_denominator=12),
